@@ -25,7 +25,7 @@ from .lweight import (
     rectangle_root_product,
     root_decompose,
 )
-from .ring import Monomial, RingElement, fundamental_class, weyl_class
+from .ring import RingElement, fundamental_class, weyl_class
 from .snakes import (
     LEFT,
     RIGHT,
@@ -47,7 +47,6 @@ from .determinant import (
     minor_identity_holds,
     nonzero_permutations,
     permutation_sign,
-    permutation_weight,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
@@ -84,7 +83,6 @@ __all__ = [
     "LWeight",
     "LatticePath",
     "MalformedIntervalError",
-    "Monomial",
     "RIGHT",
     "RankMismatchError",
     "RingElement",
@@ -118,7 +116,6 @@ __all__ = [
     "overlaps",
     "path_weight",
     "permutation_sign",
-    "permutation_weight",
     "rectangle_root_product",
     "root_decompose",
     "snake_dimension",

@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .determinant import (
-    assigned_intervals,
-    nonzero_permutations,
-    permutation_sign,
-    snake_matrix,
-)
+from .determinant import signed_sum, snake_matrix
 from .errors import UnsupportedSnakeError
+from .intervals import Interval
 from .snakes import AlternatingSnake
 
 
@@ -76,20 +72,11 @@ def kl_table(s: AlternatingSnake) -> KLTable:
             "must be a valid interval"
         )
     lam, mu, _ = highest_weight_pair(s)
-    positions_by_value: dict[int, list[int]] = {}
-    for t, v in enumerate(lam):
-        positions_by_value.setdefault(v, []).append(t)
-    m = snake_matrix(s)
-    acc: dict[tuple[int, ...], int] = {}
-    for sigma in nonzero_permutations(m):
-        by_upper: dict[int, list[int]] = {}
-        for iv in assigned_intervals(m, sigma):
-            by_upper.setdefault(iv.j, []).append(iv.i)
-        nu = [0] * s.r
-        for v, slots in positions_by_value.items():
-            lowers = sorted(by_upper[v])
-            for t, low in zip(slots, lowers):
-                nu[t] = low
-        acc[tuple(nu)] = acc.get(tuple(nu), 0) + permutation_sign(sigma)
-    rows = tuple((nu, c) for nu, c in sorted(acc.items()) if c != 0)
-    return KLTable(mu, lam, rows)
+
+    def nu_key(ivs: tuple[Interval, ...]) -> tuple[int, ...]:
+        # every assignment uses each upper endpoint once, so sorting its
+        # labels as the snake's intervals are sorted pairs them with lambda
+        return tuple(iv.i for iv in sorted(ivs, key=lambda iv: (-iv.j, iv.i)))
+
+    sums, _ = signed_sum(snake_matrix(s), nu_key)
+    return KLTable(mu, lam, tuple(sorted(sums.items())))

@@ -61,6 +61,11 @@ def _report(payload: dict) -> dict:
     return {"version": __version__, "canonical": True, **payload}
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _snake_data(data, n_override):
     if not isinstance(data, dict):
         raise InputError("expected a JSON object with n, intervals, breaks")
@@ -68,8 +73,8 @@ def _snake_data(data, n_override):
         if key not in data:
             raise InputError(f"missing key {key!r}")
     n = data["n"]
-    if not isinstance(n, int):
-        raise InputError("n must be an integer")
+    if not _is_int(n) or n < 1:
+        raise InputError("n must be an integer >= 1")
     if n_override is not None:
         if n_override < n:
             raise InputError(
@@ -79,11 +84,11 @@ def _snake_data(data, n_override):
     intervals = data["intervals"]
     breaks = data["breaks"]
     if not isinstance(intervals, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+        isinstance(p, list) and len(p) == 2 and all(_is_int(x) for x in p)
         for p in intervals
     ):
         raise InputError("intervals must be a list of [i, j] integer pairs")
-    if not isinstance(breaks, list) or not all(isinstance(b, int) for b in breaks):
+    if not isinstance(breaks, list) or not all(_is_int(b) for b in breaks):
         raise InputError("breaks must be a list of integers")
     return intervals, breaks, n
 
@@ -165,9 +170,7 @@ def cmd_kl(args) -> int:
 
 def _int_list(params: dict, key: str) -> list[int]:
     value = params.get(key)
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
         raise InputError(f"{key!r} must be a list of integers")
     return value
 
@@ -181,7 +184,7 @@ def cmd_gen(args) -> int:
         for key in ("mu", "lambda", "n"):
             if key not in params:
                 raise InputError(f"mu-lambda family needs key {key!r}")
-        if not isinstance(params["n"], int):
+        if not _is_int(params["n"]):
             raise InputError("n must be an integer")
         s = snake_from_mu_lambda(
             _int_list(params, "mu"), _int_list(params, "lambda"), params["n"]

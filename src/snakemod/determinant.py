@@ -12,11 +12,12 @@ expanded over standard module classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable
 
 from .errors import InternalCheckError, UnsupportedSnakeError
 from .intervals import Interval, is_connected_pair
 from .lweight import LWeight, leq
-from .ring import RingElement, fundamental_class, weyl_class
+from .ring import RingElement, fundamental_class
 from .snakes import LEFT, RIGHT, AlternatingSnake
 
 
@@ -123,20 +124,23 @@ def nonzero_permutations(m: SnakeMatrix) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
     used = [False] * (r + 1)
-
-    def extend(slot: int) -> None:
-        if slot == r:
-            out.append(tuple(chosen))
-            return
-        for c in cand[slot]:
+    # one candidate iterator per filled slot, so depth costs no recursion
+    stack = [iter(cand[0])]
+    while stack:
+        for c in stack[-1]:
             if not used[c]:
-                used[c] = True
-                chosen.append(c)
-                extend(slot + 1)
-                chosen.pop()
-                used[c] = False
-
-    extend(0)
+                break
+        else:
+            stack.pop()
+            if chosen:
+                used[chosen.pop()] = False
+            continue
+        if len(chosen) == r - 1:
+            out.append((*chosen, c))
+        else:
+            used[c] = True
+            chosen.append(c)
+            stack.append(iter(cand[len(chosen)]))
     return out
 
 
@@ -152,22 +156,28 @@ def assigned_intervals(m: SnakeMatrix, sigma: tuple[int, ...]) -> tuple[Interval
     return picked
 
 
-def permutation_weight(m: SnakeMatrix, sigma: tuple[int, ...]) -> LWeight:
-    return LWeight.from_generators(
-        ((iv, 1) for iv in assigned_intervals(m, sigma)), m.snake.n
-    )
+def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) -> tuple[dict, int]:
+    """Signs of the nonzero assignments summed under ``key`` of their labels.
+
+    Returns the nonzero sums and the number of assignments.
+    """
+    acc: dict = {}
+    sigmas = nonzero_permutations(m)
+    for sigma in sigmas:
+        k = key(assigned_intervals(m, sigma))
+        acc[k] = acc.get(k, 0) + permutation_sign(sigma)
+    return {k: c for k, c in acc.items() if c}, len(sigmas)
+
+
+def _label_weight(m: SnakeMatrix) -> Callable[[tuple[Interval, ...]], LWeight]:
+    n = m.snake.n
+    return lambda ivs: LWeight.from_generators(((iv, 1) for iv in ivs), n)
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:
-    """Signed sum over the nonzero assignments; the independent oracle."""
-    n = m.snake.n
-    total = RingElement.zero(n)
-    for sigma in nonzero_permutations(m):
-        prod = RingElement.one(n)
-        for iv in assigned_intervals(m, sigma):
-            prod = prod * fundamental_class(iv, n)
-        total = total + (prod if permutation_sign(sigma) > 0 else -prod)
-    return total
+    """Signed sum over the nonzero assignments; the product of the labels is a weight."""
+    sums, _ = signed_sum(m, _label_weight(m))
+    return RingElement.from_terms(m.snake.n, sums.items())
 
 
 def det_laplace(
@@ -236,12 +246,7 @@ class StandardExpansion:
         return 0
 
     def as_ring_element(self) -> RingElement:
-        total = RingElement.zero(self.snake.n)
-        for w, c in self.terms:
-            term = weyl_class(w)
-            for _ in range(abs(c)):
-                total = total + (term if c > 0 else -term)
-        return total
+        return RingElement.from_terms(self.snake.n, self.terms)
 
 
 def standard_expansion(s: AlternatingSnake) -> StandardExpansion:
@@ -249,15 +254,9 @@ def standard_expansion(s: AlternatingSnake) -> StandardExpansion:
     if not s.is_stable():
         raise UnsupportedSnakeError(f"{s} is not stable; the expansion is not defined")
     m = snake_matrix(s)
-    sigmas = nonzero_permutations(m)
-    acc: dict[LWeight, int] = {}
-    for sigma in sigmas:
-        w = permutation_weight(m, sigma)
-        acc[w] = acc.get(w, 0) + permutation_sign(sigma)
-    terms = tuple(
-        (w, c) for w, c in sorted(acc.items(), key=lambda t: t[0].sort_key()) if c != 0
-    )
-    return StandardExpansion(s, terms, len(sigmas))
+    sums, count = signed_sum(m, _label_weight(m))
+    terms = tuple(sorted(sums.items(), key=lambda t: t[0].sort_key()))
+    return StandardExpansion(s, terms, count)
 
 
 def derived_snake(s: AlternatingSnake, p: int) -> AlternatingSnake:

@@ -85,18 +85,19 @@ def _iter_index_stacks(sizes, compat):
     if not sizes:
         return
     chosen: list[int] = []
-
-    def extend(t, idx):
-        chosen.append(idx)
-        if t == len(sizes) - 1:
-            yield tuple(chosen)
+    # one index iterator per layer entered, so depth costs no recursion
+    stack = [iter(range(sizes[0]))]
+    while stack:
+        idx = next(stack[-1], None)
+        if idx is None:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+        elif len(stack) == len(sizes):
+            yield (*chosen, idx)
         else:
-            for nxt in compat[t][idx]:
-                yield from extend(t + 1, nxt)
-        chosen.pop()
-
-    for idx in range(sizes[0]):
-        yield from extend(0, idx)
+            chosen.append(idx)
+            stack.append(iter(compat[len(chosen) - 1][idx]))
 
 
 def _as_left_run(s: AlternatingSnake):

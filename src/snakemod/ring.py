@@ -17,56 +17,27 @@ from .intervals import Interval
 from .lweight import LWeight
 
 
-def _merge_monomial(pairs: Iterable[tuple[Interval, int]]) -> tuple[tuple[Interval, int], ...]:
-    acc: dict[Interval, int] = {}
-    for iv, m in pairs:
-        acc[iv] = acc.get(iv, 0) + m
-    out = tuple((iv, m) for iv, m in sorted(acc.items()) if m != 0)
-    if any(m < 0 for _, m in out):
-        raise ValueError("monomial multiplicities must be positive")
-    return out
+def _term_key(term: tuple[LWeight, int]) -> tuple:
+    # graded, then lexicographic on the sorted generator list
+    w = term[0]
+    return (sum(e for _, e in w.gens), w.sort_key())
 
 
-@dataclass(frozen=True)
-class Monomial:
-    gens: tuple[tuple[Interval, int], ...]
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Interval, int]]) -> "Monomial":
-        return cls(_merge_monomial(pairs))
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.gens)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_pairs((*self.gens, *other.gens))
-
-    def mirrored(self) -> "Monomial":
-        return Monomial.from_pairs((iv.mirrored(), m) for iv, m in self.gens)
-
-    def sort_key(self) -> tuple:
-        # graded, then lexicographic on the sorted generator list
-        return (self.degree, tuple((iv.i, iv.j, m) for iv, m in self.gens))
-
-    def __str__(self) -> str:
-        if not self.gens:
-            return "1"
-        return "*".join(
-            f"V[{iv.i},{iv.j}]" + (f"^{m}" if m != 1 else "") for iv, m in self.gens
-        )
+def _mono_str(w: LWeight) -> str:
+    if not w.gens:
+        return "1"
+    return "*".join(f"V[{iv.i},{iv.j}]" + (f"^{e}" if e != 1 else "") for iv, e in w.gens)
 
 
 @dataclass(frozen=True)
 class RingElement:
-    """An integer polynomial in the fundamental class symbols, at rank n."""
+    """An integer polynomial in the fundamental class symbols, at rank n.
+
+    Each monomial is the dominant weight whose exponents it carries.
+    """
 
     n: int
-    terms: tuple[tuple[Monomial, int], ...]
+    terms: tuple[tuple[LWeight, int], ...]
 
     @classmethod
     def zero(cls, n: int) -> "RingElement":
@@ -74,25 +45,20 @@ class RingElement:
 
     @classmethod
     def one(cls, n: int) -> "RingElement":
-        return cls(n, ((Monomial.one(), 1),))
+        return cls(n, ((LWeight.identity(n), 1),))
 
     @classmethod
-    def from_terms(cls, n: int, items: Iterable[tuple[Monomial, int]]) -> "RingElement":
-        acc: dict[Monomial, int] = {}
+    def from_terms(cls, n: int, items: Iterable[tuple[LWeight, int]]) -> "RingElement":
+        acc: dict[LWeight, int] = {}
         for mono, c in items:
             acc[mono] = acc.get(mono, 0) + c
-        terms = tuple(
-            (mono, c)
-            for mono, c in sorted(acc.items(), key=lambda t: t[0].sort_key())
-            if c != 0
-        )
-        return cls(n, terms)
+        return cls(n, tuple(t for t in sorted(acc.items(), key=_term_key) if t[1] != 0))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> int:
+    def coefficient(self, mono: LWeight) -> int:
         for m, c in self.terms:
             if m == mono:
                 return c
@@ -144,13 +110,16 @@ class RingElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "RingElement":
+        n = int(data["n"])
         items = []
         for term in data["terms"]:
-            mono = Monomial.from_pairs(
-                (Interval(int(i), int(j)), int(m)) for i, j, m in term["mono"]
+            mono = LWeight.from_generators(
+                ((Interval(int(i), int(j)), int(m)) for i, j, m in term["mono"]), n
             )
+            if not mono.is_dominant():
+                raise ValueError("monomial multiplicities must be positive")
             items.append((mono, int(term["coeff"])))
-        return cls.from_terms(int(data["n"]), items)
+        return cls.from_terms(n, items)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -159,7 +128,8 @@ class RingElement:
         for mono, c in self.terms:
             sign = "+" if c >= 0 else "-"
             mag = abs(c)
-            body = str(mono) if mag == 1 and mono.gens else f"{mag}*{mono}" if mono.gens else str(mag)
+            text = _mono_str(mono)
+            body = text if mag == 1 and mono.gens else f"{mag}*{text}" if mono.gens else str(mag)
             parts.append(f"{sign} {body}")
         joined = " ".join(parts)
         return joined[2:] if joined.startswith("+ ") else joined
@@ -171,11 +141,11 @@ def fundamental_class(iv: Interval, n: int) -> RingElement:
         return RingElement.zero(n)
     if iv.is_boundary(n):
         return RingElement.one(n)
-    return RingElement(n, ((Monomial(((iv, 1),)), 1),))
+    return RingElement(n, ((LWeight(n, ((iv, 1),)), 1),))
 
 
 def weyl_class(w: LWeight) -> RingElement:
     """The standard module class of a dominant weight: the product of its generators."""
     if not w.is_dominant():
         raise ValueError(f"weight {w} has a negative exponent; no standard class")
-    return RingElement(w.n, ((Monomial(w.gens), 1),))
+    return RingElement(w.n, ((w, 1),))

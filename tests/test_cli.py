@@ -1,6 +1,9 @@
+import inspect
 import json
 import subprocess
 import sys
+
+import pytest
 
 from snakemod.cli import main
 
@@ -63,6 +66,17 @@ class TestValidate:
         assert json.loads(err)["error"] == "invalid-input"
 
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": True}, {"n": 0}, {"intervals": [[0, True], [-1, 1]]}, {"breaks": [True, 2]}],
+        ids=["n-true", "n-zero", "endpoint-true", "break-true"],
+    )
+    def test_non_integer_or_nonpositive_exits_2(self, tmp_path, capsys, change):
+        code, out, err = run_cli(["validate", write(tmp_path, {**PAIR, **change})], capsys)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == "invalid-input"
+
+
 class TestRankOverride:
     def test_upward_allowed(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -106,6 +120,20 @@ class TestDetFormula:
         assert json.loads(err)["error"] == "refused"
 
 
+    def test_long_disconnected_run(self, tmp_path, capsys):
+        # 1000 prime factors: deeper than the default recursion limit
+        long_run = {
+            "n": 3,
+            "intervals": [[-3 * t, -3 * t + 1] for t in range(1000)],
+            "breaks": [1, 1000],
+        }
+        code, out, _ = run_cli(["det-formula", write(tmp_path, long_run)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["terms"]) == 1
+        assert report["sigma_count"] == 1
+
+
 class TestDecompose:
     def test_two_factors(self, tmp_path, capsys):
         code, out, _ = run_cli(["decompose", write(tmp_path, TWO_FACTOR)], capsys)
@@ -125,6 +153,21 @@ class TestCharacter:
         report = json.loads(out)
         assert report["dim"] == 6
         assert len(report["weights"]) == 6
+
+    def test_connected_run_deeper_than_recursion_limit(self, tmp_path, capsys):
+        # the weights of an r-interval run at n = 1 fill O(r^2) JSON, so the
+        # run stays short and the recursion limit is lowered below its length
+        r = 300
+        run = {"n": 1, "intervals": [[-t, -t + 1] for t in range(r)], "breaks": [1, r]}
+        path = write(tmp_path, run)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + r // 2)
+        try:
+            code, out, _ = run_cli(["character", path], capsys)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        assert json.loads(out)["dim"] == r + 1
 
     def test_multi_run_exits_3(self, tmp_path, capsys):
         code, _, err = run_cli(["character", write(tmp_path, EXAMPLE_ONE)], capsys)
@@ -187,6 +230,13 @@ class TestGen:
 
     def test_non_integer_entries_exit_2(self, tmp_path, capsys):
         params = {"family": "mu-lambda", "mu": [0, "1"], "lambda": [3, 2], "n": 4}
+        code, _, err = run_cli(["gen", write(tmp_path, params)], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "invalid-input"
+
+    def test_boolean_rank_exits_2(self, tmp_path, capsys):
+        # mu = [0], lambda = [1] is accepted at n = 1
+        params = {"family": "mu-lambda", "mu": [0], "lambda": [1], "n": True}
         code, _, err = run_cli(["gen", write(tmp_path, params)], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "invalid-input"

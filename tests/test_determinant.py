@@ -8,6 +8,7 @@ from snakemod import (
     AlternatingSnake,
     Interval,
     RingElement,
+    StandardExpansion,
     UnsupportedSnakeError,
     derived_snake,
     det_laplace,
@@ -19,6 +20,7 @@ from snakemod import (
     snake_matrix,
     split_identity_holds,
     standard_expansion,
+    weyl_class,
 )
 from snakemod.lweight import LWeight
 
@@ -229,6 +231,13 @@ class TestStandardExpansion:
         for s in corpus.stable_corpus(107, 30):
             e = standard_expansion(s)
             assert e.as_ring_element() == det_laplace(snake_matrix(s))
+
+    def test_ring_element_of_multiple_coefficients(self, example_one):
+        a = LWeight.generator(0, 2, 5)
+        b = LWeight.from_generators([(Interval(-1, 1), 1), (Interval(1, 3), 2)], 5)
+        e = StandardExpansion(example_one, ((a, 3), (b, -2)), 8)
+        wa, wb = weyl_class(a), weyl_class(b)
+        assert e.as_ring_element() == wa + wa + wa - wb - wb
 
     def test_mirror_equivariance(self, example_one):
         snakes = corpus.stable_corpus(109, 60) + [example_one]

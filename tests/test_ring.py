@@ -6,7 +6,6 @@ import pytest
 from snakemod import (
     Interval,
     LWeight,
-    Monomial,
     RankMismatchError,
     RingElement,
     fundamental_class,
@@ -18,7 +17,7 @@ def elem(n, *terms):
     return RingElement.from_terms(
         n,
         (
-            (Monomial.from_pairs([(Interval(a, b), m) for a, b, m in mono]), c)
+            (LWeight.from_generators([(Interval(a, b), m) for a, b, m in mono], n), c)
             for mono, c in terms
         ),
     )
@@ -157,6 +156,15 @@ class TestJson:
         back = RingElement.from_json(json.loads(blob))
         assert back == x
         assert json.dumps(back.to_json(), sort_keys=True) == blob
+
+    def test_negative_multiplicity_rejected(self):
+        data = {"n": 3, "terms": [{"coeff": 1, "mono": [[0, 2, 1], [1, 3, -1]]}]}
+        with pytest.raises(ValueError):
+            RingElement.from_json(data)
+
+    def test_str(self):
+        x = elem(3, (((0, 2, 1), (1, 3, 2)), -2), ((), 5), (((0, 1, 1),), 1))
+        assert str(x) == "5 + V[0,1] - 2*V[0,2]*V[1,3]^2"
 
     def test_canonical_term_order(self):
         x = elem(2, (((0, 1, 1),), 1), ((), 3), (((0, 1, 2),), -1))
