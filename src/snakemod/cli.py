@@ -22,7 +22,7 @@ from .errors import (
 from .families import nested_prime_snake, snake_from_mu_lambda
 from .category_o import kl_table
 from .paths import ell_weights, snake_dimension
-from .snakes import AlternatingSnake, diagnose
+from .snakes import AlternatingSnake
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,12 +99,11 @@ def _load_snake(data, n_override) -> AlternatingSnake:
 
 
 def cmd_validate(args) -> int:
-    intervals, breaks, n = _snake_data(_read_json(args.input), args.n)
-    problems = diagnose(intervals, breaks, n)
-    if problems:
-        payload = {"valid": False, "diagnostics": [d.to_json() for d in problems]}
+    try:
+        s = _load_snake(_read_json(args.input), args.n)
+    except InvalidSnakeError as exc:
+        payload = {"valid": False, "diagnostics": [d.to_json() for d in exc.diagnostics]}
     else:
-        s = AlternatingSnake.build(intervals, breaks, n)
         payload = {
             "valid": True,
             "runs": list(s.directions),

@@ -79,17 +79,9 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
         row: list[Interval | None] = []
         for l in range(1, r + 1):
             iv = Interval(s.interval(p).i, s.interval(l).j)
-            keep = (
-                iv.is_well_formed(s.n)
-                and span_connected(min(p, l), max(p, l))
-                and l in row_windows[p - 1]
-            )
-            by_cols = (
-                iv.is_well_formed(s.n)
-                and span_connected(min(p, l), max(p, l))
-                and p in col_windows[l - 1]
-            )
-            if keep != by_cols:
+            shared = iv.is_well_formed(s.n) and span_connected(min(p, l), max(p, l))
+            keep = shared and l in row_windows[p - 1]
+            if keep != (shared and p in col_windows[l - 1]):
                 raise InternalCheckError(
                     f"row and column entry rules disagree at ({p}, {l}) for {s}"
                 )
@@ -192,43 +184,49 @@ def det_laplace(
     cols = all_idx if cols is None else tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], RingElement] = {}
-
-    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> RingElement:
-        if not rs:
-            return RingElement.one(n)
-        key = (rs, cs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        row_counts = [sum(m.entry(p, l) is not None for l in cs) for p in rs]
-        col_counts = [sum(m.entry(p, l) is not None for p in rs) for l in cs]
-        br, bc = min(range(len(rs)), key=row_counts.__getitem__), min(
-            range(len(cs)), key=col_counts.__getitem__
-        )
+    memo = {((), ()): RingElement.one(n)}
+    # a minor is pushed bare, then again with its line once its own minors are queued
+    stack: list = [((rows, cols), None)]
+    while stack:
+        key, line = stack.pop()
+        if key in memo:
+            continue
+        if line is None:
+            line = _cofactor_line(m, *key)
+            stack.append((key, line))
+            stack.extend((minor, None) for _, _, minor in line if minor not in memo)
+            continue
         total = RingElement.zero(n)
-        if row_counts[br] <= col_counts[bc]:
-            p = rs[br]
-            sub_rows = rs[:br] + rs[br + 1 :]
-            for ci, l in enumerate(cs):
-                iv = m.entry(p, l)
-                if iv is None:
-                    continue
-                cof = fundamental_class(iv, n) * det(sub_rows, cs[:ci] + cs[ci + 1 :])
-                total = total + (cof if (br + ci) % 2 == 0 else -cof)
-        else:
-            l = cs[bc]
-            sub_cols = cs[:bc] + cs[bc + 1 :]
-            for ri, p in enumerate(rs):
-                iv = m.entry(p, l)
-                if iv is None:
-                    continue
-                cof = fundamental_class(iv, n) * det(rs[:ri] + rs[ri + 1 :], sub_cols)
-                total = total + (cof if (ri + bc) % 2 == 0 else -cof)
+        for even, iv, minor in line:
+            cof = fundamental_class(iv, n) * memo[minor]
+            total = total + (cof if even else -cof)
         memo[key] = total
-        return total
+    return memo[(rows, cols)]
 
-    return det(rows, cols)
+
+def _cofactor_line(m: SnakeMatrix, rs: tuple[int, ...], cs: tuple[int, ...]) -> list:
+    """(even sign, label, minor) for each nonzero entry of the sparsest line of (rs, cs)."""
+    row_counts = [sum(m.entry(p, l) is not None for l in cs) for p in rs]
+    col_counts = [sum(m.entry(p, l) is not None for p in rs) for l in cs]
+    br, bc = min(range(len(rs)), key=row_counts.__getitem__), min(
+        range(len(cs)), key=col_counts.__getitem__
+    )
+    out = []
+    if row_counts[br] <= col_counts[bc]:
+        p = rs[br]
+        sub_rows = rs[:br] + rs[br + 1 :]
+        for ci, l in enumerate(cs):
+            iv = m.entry(p, l)
+            if iv is not None:
+                out.append(((br + ci) % 2 == 0, iv, (sub_rows, cs[:ci] + cs[ci + 1 :])))
+    else:
+        l = cs[bc]
+        sub_cols = cs[:bc] + cs[bc + 1 :]
+        for ri, p in enumerate(rs):
+            iv = m.entry(p, l)
+            if iv is not None:
+                out.append(((ri + bc) % 2 == 0, iv, (rs[:ri] + rs[ri + 1 :], sub_cols)))
+    return out
 
 
 @dataclass(frozen=True)

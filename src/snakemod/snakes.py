@@ -10,6 +10,7 @@ break vector.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -107,18 +108,20 @@ def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
             out.append(
                 Diagnostic("alt1", (m, m + 1), f"runs {m} and {m + 1} do not alternate")
             )
-    for m in range(1, len(bl) - 1):
-        rm = bl[m]
-        for s in range(1, rm):
-            for l in range(rm + 1, r + 1):
-                if overlaps(ivs[s - 1], ivs[l - 1]):
-                    out.append(
-                        Diagnostic(
-                            "alt2",
-                            (s, rm, l),
-                            f"intervals {s} and {l} overlap across break {rm}",
-                        )
-                    )
+    # each pair straddling a break is tested once, from the first break above s
+    inner = bl[1:-1]
+    straddling = [
+        (s, l)
+        for s in range(1, max(inner, default=1))
+        for l in range(inner[bisect_right(inner, s)] + 1, r + 1)
+        if overlaps(ivs[s - 1], ivs[l - 1])
+    ]
+    out.extend(
+        Diagnostic("alt2", (s, rm, l), f"intervals {s} and {l} overlap across break {rm}")
+        for rm in inner
+        for s, l in straddling
+        if s < rm < l
+    )
     return out
 
 
@@ -218,44 +221,39 @@ class AlternatingSnake:
                 return False
         return True
 
-    def _first_cut(self) -> Optional[int]:
-        cuts = set()
-        for p in range(1, self.r):
-            if not is_connected_pair(self.interval(p), self.interval(p + 1), self.n):
-                cuts.add(p)
-        for m in range(1, self.k):
-            rm = self.breaks[m]
-            lo = self.interval(rm - 1)
-            hi = self.interval(rm + 1)
+    def cut_positions(self) -> tuple[int, ...]:
+        """Positions p such that the prime factorization splits p | p+1, in one scan.
+
+        Cuts fall between disconnected neighbours and next to each inner break
+        whose outer intervals share an endpoint, unless that break opens the
+        factor left by the previous cut.
+        """
+        # position -> the largest break that puts a junction cut there
+        junction: dict[int, int] = {}
+        for rm in self.breaks[1:-1]:
+            lo, hi = self.interval(rm - 1), self.interval(rm + 1)
+            into_left = step_direction(lo, self.interval(rm)) == LEFT
             for a, b in (("i", "j"), ("j", "i")):
-                if getattr(lo, a) != getattr(hi, a):
-                    continue
-                b_lo, b_hi = getattr(lo, b), getattr(hi, b)
-                into_left = step_direction(self.interval(rm - 1), self.interval(rm)) == LEFT
-                eps = 0 if (b_lo < b_hi) == into_left else 1
-                cuts.add(rm - eps)
-        return min(cuts) if cuts else None
+                if getattr(lo, a) == getattr(hi, a):
+                    eps = 0 if (getattr(lo, b) < getattr(hi, b)) == into_left else 1
+                    junction[rm - eps] = rm
+        cuts: list[int] = []
+        last = 0
+        for p in range(1, self.r):
+            if junction.get(p, 0) > last + 1 or not is_connected_pair(
+                self.interval(p), self.interval(p + 1), self.n
+            ):
+                cuts.append(p)
+                last = p
+        return tuple(cuts)
 
     def prime_factors(self) -> tuple["AlternatingSnake", ...]:
-        """The unique factorization into prime snakes, scanned left to right."""
-        out: list[AlternatingSnake] = []
-        rest = self
-        while True:
-            cut = rest._first_cut()
-            if cut is None:
-                out.append(rest)
-                return tuple(out)
-            out.append(rest.segment(0, cut))
-            rest = rest.segment(cut, rest.r)
-
-    def cut_positions(self) -> tuple[int, ...]:
-        """Global positions p such that the factorization splits p | p+1."""
-        cuts = []
-        offset = 0
-        for factor in self.prime_factors()[:-1]:
-            offset += factor.r
-            cuts.append(offset)
-        return tuple(cuts)
+        """The unique factorization into prime snakes, split at ``cut_positions``."""
+        cuts = self.cut_positions()
+        if not cuts:
+            return (self,)
+        bounds = (0, *cuts, self.r)
+        return tuple(self.segment(p, q) for p, q in zip(bounds, bounds[1:]))
 
     def within_prime_factor(self, lo: int, hi: int) -> bool:
         """True when positions lo..hi land inside a single prime factor."""

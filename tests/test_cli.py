@@ -1,10 +1,13 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import snakemod
 from snakemod.cli import main
 
 EXAMPLE_ONE = {
@@ -269,11 +272,15 @@ class TestDeterminism:
 
     def test_output_file_and_stdin(self, tmp_path):
         out_path = tmp_path / "report.json"
+        # the child imports the same package as this test, installed or not
+        paths = [str(Path(snakemod.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "snakemod.cli", "validate", "-", "-o", str(out_path)],
             input=json.dumps(PAIR),
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         report = json.loads(out_path.read_text(encoding="utf-8"))

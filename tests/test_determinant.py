@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -184,6 +186,19 @@ class TestDeterminants:
                 term = fundamental_class(iv, s.n) * minor
                 total = total + (term if (p + 1) % 2 == 0 else -term)
             assert total == det_laplace(m)
+
+    def test_laplace_deeper_than_recursion_limit(self):
+        r = 150
+        s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
+        m = snake_matrix(s)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + r // 2)
+        try:
+            got = det_laplace(m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(got.terms) == 1
+        assert got == det_leibniz(m)
 
 
 class TestStandardExpansion:

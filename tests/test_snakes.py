@@ -3,6 +3,7 @@ import random
 import pytest
 
 import corpus
+import snakemod.snakes as snakes_module
 from snakemod import (
     AlternatingSnake,
     Interval,
@@ -58,6 +59,15 @@ class TestValidation:
     def test_overlap_across_break(self):
         problems = diagnose([[0, 4], [-1, 1], [2, 5]], [1, 2, 3], 5)
         assert any(p.code == "alt2" and p.positions == (1, 2, 3) for p in problems)
+        # every straddling pair once per break between them, break by break
+        problems = diagnose([[0, 2], [-3, 0], [1, 4], [3, 6], [-1, 1]], [1, 2, 4, 5], 4)
+        assert [p.positions for p in problems if p.code == "alt2"] == [
+            (1, 2, 3),
+            (1, 2, 5),
+            (1, 4, 5),
+            (2, 4, 5),
+            (3, 4, 5),
+        ]
 
     def test_build_raises_with_diagnostics(self):
         with pytest.raises(InvalidSnakeError) as exc:
@@ -200,6 +210,46 @@ class TestPrimeDecomposition:
         two_cut = AlternatingSnake.build([[0, 4], [-2, 1], [1, 4]], [1, 2, 3], 5)
         assert two_cut.within_prime_factor(1, 2)
         assert not two_cut.within_prime_factor(2, 3)
+
+    def test_validates_each_position_once(self, monkeypatch):
+        r = 200
+        runs = [
+            AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3),
+            zigzag(r),
+            *corpus.nonprime_stable_corpus(43, 40),
+        ]
+        validated = []
+        real = snakes_module.diagnose
+
+        def counting(intervals, breaks, n):
+            validated.append(len(intervals))
+            return real(intervals, breaks, n)
+
+        monkeypatch.setattr(snakes_module, "diagnose", counting)
+        for s in runs:
+            validated.clear()
+            factors = s.prime_factors()
+            assert len(factors) > 1
+            assert sum(validated) == s.r
+
+    def test_scan_matches_first_cut_recursion(self):
+        for s in corpus.stable_corpus(47, 150) + corpus.nonprime_stable_corpus(53, 150):
+            factors = s.prime_factors()
+            assert all(f.cut_positions() == () for f in factors)
+            cuts = s.cut_positions()
+            if cuts:
+                c = cuts[0]
+                assert factors == (s.segment(0, c), *s.segment(c, s.r).prime_factors())
+
+
+def zigzag(r: int, step: int = 4) -> AlternatingSnake:
+    """Disjoint unit intervals on slots that go down `step` places, then up."""
+    slots = [0]
+    while len(slots) < r:
+        down = (len(slots) - 1) // step % 2 == 0
+        slots.append(min(slots) - 1 if down else max(slots) + 1)
+    breaks = (1, *range(1 + step, r, step), r)
+    return AlternatingSnake.build([[3 * x, 3 * x + 1] for x in slots], breaks, 3)
 
 
 class TestCrossAdjacent:
