@@ -41,6 +41,7 @@ from .determinant import (
     StandardExpansion,
     assigned_intervals,
     derived_snake,
+    det_dimension,
     det_laplace,
     det_leibniz,
     expansion_dominated,
@@ -95,6 +96,7 @@ __all__ = [
     "corner_set",
     "cross_adjacent",
     "derived_snake",
+    "det_dimension",
     "det_laplace",
     "det_leibniz",
     "diagnose",

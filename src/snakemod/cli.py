@@ -29,6 +29,10 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
+# ell_weights visits every stacked path tuple (the dimension counts them);
+# 200,000 tuples take about 12 s
+CHARACTER_MAX_TUPLES = 200_000
+
 
 class InputError(Exception):
     def __init__(self, message, details=None):
@@ -145,10 +149,15 @@ def cmd_det_formula(args) -> int:
 
 def cmd_character(args) -> int:
     s = _load_snake(_read_json(args.input), args.n)
+    dim = snake_dimension(s)
+    if dim > CHARACTER_MAX_TUPLES:
+        raise UnsupportedSnakeError(
+            f"character would enumerate {dim} path tuples; the limit is {CHARACTER_MAX_TUPLES}"
+        )
     weights = sorted(ell_weights(s), key=lambda w: w.sort_key())
     payload = {
         "snake": s.to_json(),
-        "dim": snake_dimension(s),
+        "dim": dim,
         "weights": [w.to_json() for w in weights],
     }
     _emit(_report(payload), args.output)

@@ -12,6 +12,7 @@ expanded over standard module classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Hashable
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -46,48 +47,132 @@ def _clamped_break(s: AlternatingSnake, t: int) -> int:
     return s.breaks[t]
 
 
+def _windows(s: AlternatingSnake, along_rows: bool) -> list[tuple[int, int]]:
+    """(lo, hi) per 1-based position: the break windows of the runs holding it.
+
+    A position at an inner break lies in two runs whose windows both contain
+    it, so their union is again one range.
+    """
+    if s.k == 0:
+        return [(1, 1), (1, 1)]
+    out = [(s.r + 1, 0)] * (s.r + 1)
+    for m in range(1, s.k + 1):
+        d = s.directions[m - 1]
+        wide = d == LEFT if along_rows else d == RIGHT
+        if wide:
+            lo, hi = _clamped_break(s, m - 2), _clamped_break(s, m + 1)
+        else:
+            lo, hi = s.breaks[m - 1], s.breaks[m]
+        for idx in range(s.breaks[m - 1], s.breaks[m] + 1):
+            a, b = out[idx]
+            out[idx] = (min(a, lo), max(b, hi))
+    return out
+
+
 def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
-    r = s.r
-    pair_ok = [is_connected_pair(s.interval(t), s.interval(t + 1), s.n) for t in range(1, r)]
-    broken = [0]
-    for ok in pair_ok:
-        broken.append(broken[-1] + (0 if ok else 1))
-
-    def span_connected(a: int, b: int) -> bool:
-        return broken[b - 1] - broken[a - 1] == 0
-
-    def window(idx: int, along_rows: bool) -> set[int]:
-        if s.k == 0:
-            return {1}
-        allowed: set[int] = set()
-        for m in range(1, s.k + 1):
-            if not s.breaks[m - 1] <= idx <= s.breaks[m]:
-                continue
-            d = s.directions[m - 1]
-            wide = d == LEFT if along_rows else d == RIGHT
-            if wide:
-                lo, hi = _clamped_break(s, m - 2), _clamped_break(s, m + 1)
-            else:
-                lo, hi = s.breaks[m - 1], s.breaks[m]
-            allowed.update(range(lo, hi + 1))
-        return allowed
-
-    row_windows = [window(p, True) for p in range(1, r + 1)]
-    col_windows = [window(l, False) for l in range(1, r + 1)]
+    r, n, ivs = s.r, s.n, s.intervals
+    # connected blocks: an entry needs every pair between its row and column connected
+    starts = [1] + [t + 1 for t in range(1, r) if not is_connected_pair(ivs[t - 1], ivs[t], n)]
+    ends = [b - 1 for b in starts[1:]] + [r]
+    row_windows = _windows(s, True)
+    col_windows = _windows(s, False)
     rows: list[tuple[Interval | None, ...]] = []
-    for p in range(1, r + 1):
-        row: list[Interval | None] = []
-        for l in range(1, r + 1):
-            iv = Interval(s.interval(p).i, s.interval(l).j)
-            shared = iv.is_well_formed(s.n) and span_connected(min(p, l), max(p, l))
-            keep = shared and l in row_windows[p - 1]
-            if keep != (shared and p in col_windows[l - 1]):
-                raise InternalCheckError(
-                    f"row and column entry rules disagree at ({p}, {l}) for {s}"
-                )
-            row.append(iv if keep else None)
-        rows.append(tuple(row))
+    for a, b in zip(starts, ends):
+        for p in range(a, b + 1):
+            i = ivs[p - 1].i
+            row_lo, row_hi = row_windows[p]
+            cells: list[Interval | None] = [None] * (b - a + 1)
+            for l in range(a, b + 1):
+                j = ivs[l - 1].j
+                if not 0 <= j - i <= n + 1:
+                    continue
+                keep = row_lo <= l <= row_hi
+                col_lo, col_hi = col_windows[l]
+                if keep != (col_lo <= p <= col_hi):
+                    raise InternalCheckError(
+                        f"row and column entry rules disagree at ({p}, {l}) for {s}"
+                    )
+                if keep:
+                    cells[l - a] = Interval(i, j)
+            rows.append((None,) * (a - 1) + tuple(cells) + (None,) * (r - b))
     return SnakeMatrix(s, tuple(rows))
+
+
+def det_dimension(m: SnakeMatrix) -> int:
+    """det(m) with each label V[i,j] evaluated at binomial(n+1, j-i), exactly.
+
+    Sparse fraction-free (Bareiss) elimination on dict rows, touching only
+    the rows with an entry in the pivot column.  A row the pivot does not
+    reach keeps its entries and the pivot they are relative to; the first
+    time a later pivot reaches it, it is rescaled to the current pivot.  Every
+    division is exact because Bareiss entries are minors, so a remainder
+    raises InternalCheckError.
+    """
+    n1 = m.snake.n + 1
+    rows = [
+        {l: comb(n1, iv.length) for l, iv in enumerate(row) if iv is not None}
+        for row in m.entries
+    ]
+    live_in_col: list[set[int]] = [set() for _ in rows]
+    for p, row in enumerate(rows):
+        for l in row:
+            live_in_col[l].add(p)
+    rel = [1] * len(rows)  # the pivot each stored row is relative to
+    prev = 1
+    pivot_rows = []
+    for c, live in enumerate(live_in_col):
+        if not live:
+            return 0
+        p = min(live)
+        pivot_rows.append(p)
+        top = _rescaled(rows[p], prev, rel[p])
+        for l in top:
+            live_in_col[l].discard(p)
+        piv = top.pop(c)
+        for q in live:
+            row = _rescaled(rows[q], prev, rel[q])
+            a = row.pop(c)
+            for l in row.keys() - top.keys():
+                row[l] = _exact(piv * row[l], prev)
+            for l, v in top.items():
+                x = _exact(piv * row.get(l, 0) - a * v, prev)
+                if x:
+                    if l not in row:
+                        live_in_col[l].add(q)
+                    row[l] = x
+                elif l in row:
+                    del row[l]
+                    live_in_col[l].discard(q)
+            rows[q], rel[q] = row, piv
+        prev = piv
+    return prev if _is_even(pivot_rows) else -prev
+
+
+def _rescaled(row: dict[int, int], prev: int, rel: int) -> dict[int, int]:
+    if rel == prev:
+        return row
+    return {l: _exact(v * prev, rel) for l, v in row.items()}
+
+
+def _exact(x: int, d: int) -> int:
+    q, rem = divmod(x, d)
+    if rem:
+        raise InternalCheckError(f"fraction-free elimination left a remainder ({x} / {d})")
+    return q
+
+
+def _is_even(perm: list[int]) -> bool:
+    """Parity of a 0-based permutation, from its number of cycles."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return (len(perm) - cycles) % 2 == 0
 
 
 def permutation_sign(perm: tuple[int, ...]) -> int:

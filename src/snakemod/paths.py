@@ -4,7 +4,9 @@ A path for [i, j] at rank n is a function g on 0..n+1 with g(0) = 2j,
 g(n+1) = n+1+2i and unit steps.  Interior local minima and maxima encode
 intervals; the weight of a path is the product of its minimum corners over
 its maximum corners.  Strictly stacked path tuples enumerate the weights of
-single-run snake classes, with multiplicity one.
+single-run snake classes, with multiplicity one.  Their number, the class's
+dimension, is the snake matrix's determinant evaluated at binomials
+(Lindstrom-Gessel-Viennot), so it is computed without building any path.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .determinant import det_dimension, snake_matrix
 from .errors import MalformedIntervalError, UnsupportedSnakeError
 from .intervals import Interval
 from .lweight import LWeight
@@ -145,10 +148,9 @@ def dominant_ell_weights(s: AlternatingSnake) -> set[LWeight]:
 
 
 def snake_dimension(s: AlternatingSnake) -> int:
-    """Number of stacked tuples; the dimension of the snake class."""
-    ivs, _ = _as_left_run(s)
-    layers, compat = _stacked_layers(ivs, s.n)
-    counts = [1] * len(layers[-1])
-    for rows in reversed(compat):
-        counts = [sum(counts[idx] for idx in row) for row in rows]
-    return sum(counts)
+    """The dimension of the snake class (its number of stacked path tuples).
+
+    Computed as the evaluated determinant of the snake matrix.
+    """
+    _as_left_run(s)
+    return det_dimension(snake_matrix(s))

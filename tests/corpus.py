@@ -4,10 +4,35 @@ from __future__ import annotations
 
 import random
 
-from snakemod import LEFT, RIGHT, AlternatingSnake, InvalidSnakeError
+from snakemod import LEFT, RIGHT, AlternatingSnake, InvalidSnakeError, enumerate_paths
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 
 MAX_TRIES = 2000
+
+
+def path_count(s: AlternatingSnake) -> int:
+    """Stacked path tuples of a single run, counted layer by layer.
+
+    The path-model oracle for ``snake_dimension``: it builds every path of
+    every interval and sums, bottom layer up, the tuples each path can top.
+    An ascending run is counted through its reversal.
+    """
+    if s.k > 1:
+        raise ValueError("the path model covers single-run snakes only")
+    ivs = s.intervals if s.r == 1 or s.first_direction() == LEFT else s.intervals[::-1]
+    below: list = []
+    counts: list[int] = []
+    for iv in reversed(ivs):
+        layer = enumerate_paths(iv, s.n)
+        if below:
+            counts = [
+                sum(c for b, c in zip(below, counts) if all(x > y for x, y in zip(a.values, b.values)))
+                for a in layer
+            ]
+        else:
+            counts = [1] * len(layer)
+        below = layer
+    return sum(counts)
 
 
 def random_connected_left_run(rng: random.Random, n: int, r: int, base: int = 8) -> AlternatingSnake:

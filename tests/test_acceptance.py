@@ -163,19 +163,20 @@ def test_criterion_07_path_counts():
 def test_criterion_08_dimension_cross_oracle():
     problems = []
     worked = AlternatingSnake.single_run([[0, 2], [-1, 1]], 2)
-    if snake_dimension(worked) != 6 or det_laplace(snake_matrix(worked)).dimension() != 6:
-        problems.append("worked case does not give 6 on both routes")
+    if {corpus.path_count(worked), snake_dimension(worked), det_laplace(snake_matrix(worked)).dimension()} != {6}:
+        problems.append("worked case does not give 6 on all three routes")
     rng = random.Random(251)
     checked = 0
     while checked < 120:
         n = rng.randint(1, 6)
         r = rng.randint(1, 4)
         s = corpus.random_left_run(rng, n, r)
-        if snake_dimension(s) != det_laplace(snake_matrix(s)).dimension():
+        count = corpus.path_count(s)
+        if snake_dimension(s) != count or det_laplace(snake_matrix(s)).dimension() != count:
             problems.append(f"dimension mismatch for {s}")
             break
         checked += 1
-    report(8, f"path count equals determinant dimension on {checked} single-run snakes", problems)
+    report(8, f"path count equals both determinant dimensions on {checked} single-run snakes", problems)
 
 
 def test_criterion_09_dominant_weight_uniqueness():

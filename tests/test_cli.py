@@ -177,6 +177,15 @@ class TestCharacter:
         assert code == 3
         assert json.loads(err)["error"] == "refused"
 
+    def test_too_many_tuples_refused(self, tmp_path, capsys):
+        run = {"n": 7, "intervals": [[0, 4], [-1, 3], [-2, 2], [-3, 1], [-4, 0]], "breaks": [1, 5]}
+        code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        assert "1646568" in report["message"]
+
 
 class TestKL:
     def test_pair_table(self, tmp_path, capsys):

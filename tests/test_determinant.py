@@ -10,20 +10,25 @@ from snakemod import (
     AlternatingSnake,
     Interval,
     RingElement,
+    InternalCheckError,
+    SnakeMatrix,
     StandardExpansion,
     UnsupportedSnakeError,
     derived_snake,
+    det_dimension,
     det_laplace,
     det_leibniz,
     expansion_dominated,
     fundamental_class,
     minor_identity_holds,
     nonzero_permutations,
+    permutation_sign,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
     weyl_class,
 )
+from snakemod.determinant import _exact
 from snakemod.lweight import LWeight
 
 
@@ -199,6 +204,45 @@ class TestDeterminants:
             sys.setrecursionlimit(limit)
         assert len(got.terms) == 1
         assert got == det_leibniz(m)
+
+
+class TestDetDimension:
+    def test_matches_laplace_dimension(self, example_one):
+        snakes = (
+            corpus.stable_corpus(101, 150)
+            + corpus.nonprime_stable_corpus(103, 50)
+            + [example_one]
+        )
+        for s in snakes:
+            m = snake_matrix(s)
+            assert det_dimension(m) == det_laplace(m).dimension(), str(s)
+
+    def test_row_permutations_pivot_and_flip_sign(self):
+        # a snake matrix has a nonzero diagonal, so permuting its rows is what
+        # makes the elimination look below the pivot position
+        rng = random.Random(107)
+        for s in corpus.stable_corpus(109, 60):
+            m = snake_matrix(s)
+            perm = list(range(s.r))
+            rng.shuffle(perm)
+            shuffled = SnakeMatrix(s, tuple(m.entries[p] for p in perm))
+            sign = permutation_sign(tuple(perm))
+            assert det_dimension(shuffled) == sign * det_dimension(m), str(s)
+            assert det_dimension(shuffled) == det_laplace(shuffled).dimension(), str(s)
+
+    def test_repeated_row_is_singular(self, example_one):
+        m = snake_matrix(example_one)
+        rows = m.entries
+        assert det_dimension(SnakeMatrix(example_one, (rows[0], rows[0], *rows[2:]))) == 0
+
+    def test_pair_value(self, pair_snake):
+        # C(3,2) C(3,2) - C(3,1) C(3,3)
+        assert det_dimension(snake_matrix(pair_snake)) == 6
+
+    def test_inexact_division_is_an_internal_error(self):
+        assert _exact(12, 4) == 3
+        with pytest.raises(InternalCheckError):
+            _exact(7, 2)
 
 
 class TestStandardExpansion:

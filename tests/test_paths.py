@@ -1,5 +1,7 @@
+import inspect
 import random
-from math import comb
+import sys
+from math import comb, prod
 
 import pytest
 
@@ -18,6 +20,7 @@ from snakemod import (
     is_connected_pair,
     noncrossing_tuples,
     path_weight,
+    paths,
     root_decompose,
     snake_dimension,
 )
@@ -158,7 +161,7 @@ class TestTuples:
         rng = random.Random(127)
         for _ in range(20):
             s = corpus.random_left_run(rng, rng.randint(1, 4), rng.randint(1, 3))
-            assert snake_dimension(s) == len(noncrossing_tuples(s))
+            assert snake_dimension(s) == corpus.path_count(s) == len(noncrossing_tuples(s))
 
     def test_ascending_run_matches_reversal(self):
         rng = random.Random(131)
@@ -168,6 +171,49 @@ class TestTuples:
             assert asc.first_direction() == "right"
             assert snake_dimension(asc) == snake_dimension(s)
             assert ell_weights(asc) == ell_weights(s)
+
+
+def ladder(r: int) -> AlternatingSnake:
+    """The connected descending staircase at n = r + 2 with half-rank intervals."""
+    n = r + 2
+    return AlternatingSnake.single_run([(-x, -x + (n + 1) // 2) for x in range(r)], n)
+
+
+class TestDimension:
+    def test_builds_no_paths(self, monkeypatch):
+        built = []
+        original = paths.enumerate_paths
+
+        def counted(iv, n):
+            built.append(iv)
+            return original(iv, n)
+
+        monkeypatch.setattr(paths, "enumerate_paths", counted)
+        assert snake_dimension(ladder(8)) == 7_997_986_868_872
+        assert built == []
+
+    def test_ladders_match_path_count(self):
+        for r in range(2, 8):
+            for s in (ladder(r), ladder(r).mirror()):
+                assert snake_dimension(s) == corpus.path_count(s), str(s)
+
+    def test_long_disconnected_run_is_a_product(self):
+        # lengths 0..4 at n = 3, each interval well below the previous one
+        ivs = [(-5 * t, -5 * t + t % 5) for t in range(1000)]
+        s = AlternatingSnake.single_run(ivs, 3)
+        assert not s.is_connected()
+        assert snake_dimension(s) == prod(comb(4, j - i) for i, j in ivs)
+
+    def test_long_connected_run_deeper_than_recursion_limit(self):
+        r = 1100
+        s = AlternatingSnake.single_run([(-t, -t + 1) for t in range(r)], 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + r // 2)
+        try:
+            dim = snake_dimension(s)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dim == r + 1
 
 
 class TestWeights:
@@ -205,6 +251,7 @@ class TestCrossOracle:
         from snakemod import det_laplace, snake_matrix
 
         s = AlternatingSnake.single_run([[0, 2], [-1, 1]], 2)
+        assert corpus.path_count(s) == 6
         assert snake_dimension(s) == 6
         assert det_laplace(snake_matrix(s)).dimension() == 6
 
@@ -216,4 +263,6 @@ class TestCrossOracle:
             n = rng.randint(2, 6)
             r = rng.randint(1, 4)
             s = corpus.random_left_run(rng, n, r)
-            assert snake_dimension(s) == det_laplace(snake_matrix(s)).dimension(), str(s)
+            dim = corpus.path_count(s)
+            assert snake_dimension(s) == dim, str(s)
+            assert det_laplace(snake_matrix(s)).dimension() == dim, str(s)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from snakemod import AlternatingSnake, LWeight, StandardExpansion, category_o, determinant
+from snakemod import AlternatingSnake, LWeight, StandardExpansion, category_o, determinant, paths
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WRAPPED = [
@@ -19,6 +19,7 @@ WRAPPED = [
     (determinant, "nonzero_permutations"),
     (determinant, "snake_matrix"),
     (category_o, "kl_table"),
+    (paths, "snake_dimension"),
 ]
 WRAPPED_METHODS = [
     (LWeight, "from_generators"),
@@ -49,6 +50,7 @@ def test_instrument_records_spans_and_restores(tracing):
         determinant.det_leibniz(determinant.snake_matrix(s))
         category_o.kl_table(pair)
         determinant.standard_expansion(pair).as_ring_element()
+        paths.snake_dimension(pair)
     names = {span[3] for span in tracer.spans}
     assert {
         "determinant.standard_expansion",
@@ -58,6 +60,11 @@ def test_instrument_records_spans_and_restores(tracing):
         "category_o.kl_table",
         "lweight.normalize",
         "ring.as_ring_element",
+        "paths.snake_dimension",
     } <= names
+    # the benchmark's per-layer split attributes the dimension's matrix to it
+    (dimension_id,) = [sid for sid, _, _, name, _, _ in tracer.spans if name == "paths.snake_dimension"]
+    children = {name for _, parent, _, name, _, _ in tracer.spans if parent == dimension_id}
+    assert "determinant.snake_matrix" in children
     assert [getattr(owner, name) for owner, name in WRAPPED] == before
     assert [cls.__dict__[name] for cls, name in WRAPPED_METHODS] == before_methods
