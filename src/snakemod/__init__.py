@@ -41,7 +41,6 @@ from .determinant import (
     StandardExpansion,
     assigned_intervals,
     derived_snake,
-    det_dimension,
     det_laplace,
     det_leibniz,
     expansion_dominated,
@@ -96,7 +95,6 @@ __all__ = [
     "corner_set",
     "cross_adjacent",
     "derived_snake",
-    "det_dimension",
     "det_laplace",
     "det_leibniz",
     "diagnose",

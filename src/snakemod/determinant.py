@@ -145,7 +145,7 @@ def det_dimension(m: SnakeMatrix) -> int:
                     live_in_col[l].discard(q)
             rows[q], rel[q] = row, piv
         prev = piv
-    return prev if _is_even(pivot_rows) else -prev
+    return permutation_sign(tuple(pivot_rows)) * prev
 
 
 def _rescaled(row: dict[int, int], prev: int, rel: int) -> dict[int, int]:
@@ -159,20 +159,6 @@ def _exact(x: int, d: int) -> int:
     if rem:
         raise InternalCheckError(f"fraction-free elimination left a remainder ({x} / {d})")
     return q
-
-
-def _is_even(perm: list[int]) -> bool:
-    """Parity of a 0-based permutation, from its number of cycles."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x]
-    return (len(perm) - cycles) % 2 == 0
 
 
 def permutation_sign(perm: tuple[int, ...]) -> int:

@@ -15,7 +15,6 @@ from snakemod import (
     StandardExpansion,
     UnsupportedSnakeError,
     derived_snake,
-    det_dimension,
     det_laplace,
     det_leibniz,
     expansion_dominated,
@@ -28,7 +27,7 @@ from snakemod import (
     standard_expansion,
     weyl_class,
 )
-from snakemod.determinant import _exact
+from snakemod.determinant import _exact, det_dimension
 from snakemod.lweight import LWeight
 
 

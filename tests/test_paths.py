@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+import time
 from math import comb, prod
 
 import pytest
@@ -214,6 +215,20 @@ class TestDimension:
         finally:
             sys.setrecursionlimit(limit)
         assert dim == r + 1
+
+    def test_long_connected_run_within_budget_of_path_count(self):
+        # The path count is O(r) on this shape; snake_dimension pays for the
+        # dense O(r^2) snake_matrix (about 15x the path count at r = 1100).
+        # The budget stops that gap from growing unseen; a banded matrix
+        # would close it.
+        s = AlternatingSnake.single_run([(-t, -t + 1) for t in range(1100)], 1)
+        best = {snake_dimension: float("inf"), corpus.path_count: float("inf")}
+        for _ in range(3):
+            for f in best:
+                start = time.perf_counter()
+                assert f(s) == 1101
+                best[f] = min(best[f], time.perf_counter() - start)
+        assert best[snake_dimension] < 40 * best[corpus.path_count]
 
 
 class TestWeights:
