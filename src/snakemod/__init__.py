@@ -39,7 +39,6 @@ from .families import nested_prime_snake, snake_from_mu_lambda
 from .determinant import (
     SnakeMatrix,
     StandardExpansion,
-    assigned_intervals,
     derived_snake,
     det_laplace,
     det_leibniz,
@@ -91,7 +90,6 @@ __all__ = [
     "StandardExpansion",
     "UnsupportedSnakeError",
     "as_interval",
-    "assigned_intervals",
     "corner_set",
     "cross_adjacent",
     "derived_snake",

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import __version__
-from .determinant import det_laplace, det_leibniz, snake_matrix, standard_expansion
+from .determinant import det_laplace, snake_matrix, standard_expansion
 from .errors import (
     FamilyConstraintError,
     InternalCheckError,
@@ -29,9 +30,11 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-# ell_weights visits every stacked path tuple (the dimension counts them);
-# 200,000 tuples take about 12 s
+# ell_weights visits every stacked path tuple (the dimension counts them),
+# after building every path of every layer and comparing each pair of paths
+# in neighbouring layers point by point; both bounds are on that work
 CHARACTER_MAX_TUPLES = 200_000
+CHARACTER_MAX_PATH_VALUES = 5_000_000
 
 
 class InputError(Exception):
@@ -139,8 +142,7 @@ def cmd_det_formula(args) -> int:
         "sigma_count": expansion.sigma_count,
     }
     if args.oracle:
-        m = snake_matrix(s)
-        if det_laplace(m) != det_leibniz(m):
+        if det_laplace(snake_matrix(s)) != expansion.as_ring_element():
             raise InternalCheckError("determinant algorithms disagree")
         payload["oracle"] = "ok"
     _emit(_report(payload), args.output)
@@ -154,6 +156,12 @@ def cmd_character(args) -> int:
         raise UnsupportedSnakeError(
             f"character would enumerate {dim} path tuples; the limit is {CHARACTER_MAX_TUPLES}"
         )
+    values = _path_values(s)
+    if values > CHARACTER_MAX_PATH_VALUES:
+        raise UnsupportedSnakeError(
+            f"character would build and compare {values} path values; "
+            f"the limit is {CHARACTER_MAX_PATH_VALUES}"
+        )
     weights = sorted(ell_weights(s), key=lambda w: w.sort_key())
     payload = {
         "snake": s.to_json(),
@@ -162,6 +170,13 @@ def cmd_character(args) -> int:
     }
     _emit(_report(payload), args.output)
     return EXIT_OK
+
+
+def _path_values(s: AlternatingSnake) -> int:
+    # each path holds n + 2 values: the paths of every layer, then one
+    # comparison per pair of paths in neighbouring layers
+    sizes = [comb(s.n + 1, iv.length) for iv in s.intervals]
+    return (s.n + 2) * (sum(sizes) + sum(a * b for a, b in zip(sizes, sizes[1:])))
 
 
 def cmd_kl(args) -> int:
@@ -256,10 +271,10 @@ def main(argv=None) -> int:
             }
         )
         return EXIT_INPUT
+    except UnsupportedSnakeError as exc:
+        _fail({"error": "refused", "message": str(exc)})
+        return EXIT_REFUSED
     except (MalformedIntervalError, FamilyConstraintError, ValueError) as exc:
-        if isinstance(exc, UnsupportedSnakeError):
-            _fail({"error": "refused", "message": str(exc)})
-            return EXIT_REFUSED
         _fail({"error": "invalid-input", "message": str(exc)})
         return EXIT_INPUT
     except InternalCheckError as exc:

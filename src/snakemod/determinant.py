@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import InternalCheckError, UnsupportedSnakeError
 from .intervals import Interval, is_connected_pair
@@ -171,52 +171,56 @@ def permutation_sign(perm: tuple[int, ...]) -> int:
     return -1 if inv % 2 else 1
 
 
+def walk(depth: int, children: Callable[[list], Iterable]) -> Iterator[tuple]:
+    """Every sequence of ``depth`` choices, depth first.
+
+    ``children(prefix)`` lists the choices that may follow ``prefix``; a
+    choice is never None.  One iterator per filled slot sits on an explicit
+    stack, so depth costs no recursion.
+    """
+    prefix: list = []
+    stack = [iter(children(prefix))]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif len(stack) == depth:
+            yield (*prefix, c)
+        else:
+            prefix.append(c)
+            stack.append(iter(children(prefix)))
+
+
+def _assignments(m: SnakeMatrix) -> Iterator[tuple]:
+    """The nonzero assignments as walks of (index, label, used mask, sign) choices.
+
+    For a descending first run slot l holds the row paired with column l;
+    for an ascending first run, the column paired with row p.  The sign of
+    the last choice is the assignment's sign: placing x flips it once per
+    larger index already used.
+    """
+    lines = zip(*m.entries) if m.snake.first_direction() == LEFT else m.entries
+    cand = [[(x, iv) for x, iv in enumerate(line, 1) if iv is not None] for line in lines]
+
+    def children(prefix: list) -> list:
+        used, sign = prefix[-1][2:] if prefix else (0, 1)
+        return [
+            (x, iv, used | 1 << x, -sign if (used >> x).bit_count() & 1 else sign)
+            for x, iv in cand[len(prefix)]
+            if not used >> x & 1
+        ]
+
+    return walk(m.size, children)
+
+
 def nonzero_permutations(m: SnakeMatrix) -> list[tuple[int, ...]]:
     """All assignments with nonzero entry product, per the first-run convention.
 
-    For a descending first run the assignment maps columns to rows (slot l
-    holds the row paired with column l); for an ascending first run, rows to
-    columns.  1-based, in lexicographic order; the identity always appears.
+    1-based, in lexicographic order; the identity always appears.
     """
-    r = m.size
-    left = m.snake.first_direction() == LEFT
-    if left:
-        cand = [[p for p in range(1, r + 1) if m.entry(p, l) is not None] for l in range(1, r + 1)]
-    else:
-        cand = [[l for l in range(1, r + 1) if m.entry(p, l) is not None] for p in range(1, r + 1)]
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    used = [False] * (r + 1)
-    # one candidate iterator per filled slot, so depth costs no recursion
-    stack = [iter(cand[0])]
-    while stack:
-        for c in stack[-1]:
-            if not used[c]:
-                break
-        else:
-            stack.pop()
-            if chosen:
-                used[chosen.pop()] = False
-            continue
-        if len(chosen) == r - 1:
-            out.append((*chosen, c))
-        else:
-            used[c] = True
-            chosen.append(c)
-            stack.append(iter(cand[len(chosen)]))
-    return out
-
-
-def assigned_intervals(m: SnakeMatrix, sigma: tuple[int, ...]) -> tuple[Interval, ...]:
-    """The entry labels selected by one nonzero assignment."""
-    left = m.snake.first_direction() == LEFT
-    if left:
-        picked = tuple(m.entry(sigma[l], l + 1) for l in range(m.size))
-    else:
-        picked = tuple(m.entry(p + 1, sigma[p]) for p in range(m.size))
-    if any(iv is None for iv in picked):
-        raise InternalCheckError("assignment hit a zero entry")
-    return picked
+    return [tuple(c[0] for c in leaf) for leaf in _assignments(m)]
 
 
 def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) -> tuple[dict, int]:
@@ -225,11 +229,13 @@ def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) 
     Returns the nonzero sums and the number of assignments.
     """
     acc: dict = {}
-    sigmas = nonzero_permutations(m)
-    for sigma in sigmas:
-        k = key(assigned_intervals(m, sigma))
-        acc[k] = acc.get(k, 0) + permutation_sign(sigma)
-    return {k: c for k, c in acc.items() if c}, len(sigmas)
+    count = 0
+    for leaf in _assignments(m):
+        _, labels, _, signs = zip(*leaf)
+        k = key(labels)
+        acc[k] = acc.get(k, 0) + signs[-1]
+        count += 1
+    return {k: c for k, c in acc.items() if c}, count
 
 
 def _label_weight(m: SnakeMatrix) -> Callable[[tuple[Interval, ...]], LWeight]:

@@ -112,7 +112,7 @@ def nested_prime_snake(
     if len(highs) != r or r < 1:
         raise FamilyConstraintError("shape", 0, "lows and highs must be equal-length, nonempty")
     bl = tuple(int(b) for b in breaks)
-    if bl[0] != 1 or bl[-1] != r or any(a >= b for a, b in zip(bl, bl[1:])):
+    if not bl or bl[0] != 1 or bl[-1] != r or any(a >= b for a, b in zip(bl, bl[1:])):
         raise FamilyConstraintError("breaks", 0, f"break vector {list(bl)} must satisfy 1 = r_0 < ... < r_k = {r}")
     if r == 1 and bl != (1,):
         raise FamilyConstraintError("breaks", 0, "a single interval takes break vector (1,)")

@@ -60,12 +60,6 @@ class LWeight:
         """True when every exponent is nonnegative (membership in the monoid)."""
         return all(e > 0 for _, e in self.gens)
 
-    def exponent(self, iv: Interval) -> int:
-        for gen, e in self.gens:
-            if gen == iv:
-                return e
-        return 0
-
     def _require_same_rank(self, other: "LWeight") -> None:
         if self.n != other.n:
             raise RankMismatchError(f"rank mismatch: {self.n} != {other.n}")
@@ -150,12 +144,6 @@ class RootVector:
     @property
     def is_trivial(self) -> bool:
         return not self.coeffs
-
-    def multiplicity(self, iv: Interval) -> int:
-        for gen, c in self.coeffs:
-            if gen == iv:
-                return c
-        return 0
 
     def weight(self) -> LWeight:
         parts: list[tuple[Interval, int]] = []

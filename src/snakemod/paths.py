@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .determinant import det_dimension, snake_matrix
+from .determinant import det_dimension, snake_matrix, walk
 from .errors import MalformedIntervalError, UnsupportedSnakeError
 from .intervals import Interval
 from .lweight import LWeight
@@ -67,8 +67,9 @@ def path_weight(path: LatticePath) -> LWeight:
 
 
 def _stacked_layers(intervals, n):
-    # layers of paths plus, per consecutive pair, the strictly-above relation
+    """The paths of each interval, and a walk over the index tuples of stacked paths."""
     layers = [enumerate_paths(iv, n) for iv in intervals]
+    # per consecutive pair of layers, the strictly-above relation
     compat = []
     for above, below in zip(layers, layers[1:]):
         rows = []
@@ -81,26 +82,11 @@ def _stacked_layers(intervals, n):
                 ]
             )
         compat.append(rows)
-    return layers, compat
 
+    def children(prefix):
+        return compat[len(prefix) - 1][prefix[-1]] if prefix else range(len(layers[0]))
 
-def _iter_index_stacks(sizes, compat):
-    if not sizes:
-        return
-    chosen: list[int] = []
-    # one index iterator per layer entered, so depth costs no recursion
-    stack = [iter(range(sizes[0]))]
-    while stack:
-        idx = next(stack[-1], None)
-        if idx is None:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-        elif len(stack) == len(sizes):
-            yield (*chosen, idx)
-        else:
-            chosen.append(idx)
-            stack.append(iter(compat[len(chosen) - 1][idx]))
+    return layers, walk(len(layers), children)
 
 
 def _as_left_run(s: AlternatingSnake):
@@ -119,22 +105,18 @@ def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
     in the input's position order.
     """
     ivs, flipped = _as_left_run(s)
-    layers, compat = _stacked_layers(ivs, s.n)
-    sizes = [len(layer) for layer in layers]
-    tuples = [
-        tuple(layers[t][i] for t, i in enumerate(idx))
-        for idx in _iter_index_stacks(sizes, compat)
-    ]
+    layers, stacks = _stacked_layers(ivs, s.n)
+    tuples = [tuple(layers[t][i] for t, i in enumerate(idx)) for idx in stacks]
     return [tup[::-1] for tup in tuples] if flipped else tuples
 
 
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
-    layers, compat = _stacked_layers(ivs, s.n)
+    layers, stacks = _stacked_layers(ivs, s.n)
     gens = [[path_weight(p).gens for p in layer] for layer in layers]
     seen: set[tuple] = set()
-    for idx in _iter_index_stacks([len(layer) for layer in layers], compat):
+    for idx in stacks:
         acc: dict = {}
         for t, i in enumerate(idx):
             for iv, e in gens[t][i]:

@@ -1,12 +1,19 @@
+import copy
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import corpus
 import snakemod
 from snakemod.cli import main
 
@@ -186,6 +193,24 @@ class TestCharacter:
         assert report["error"] == "refused"
         assert "1646568" in report["message"]
 
+    @pytest.mark.parametrize(
+        "run, values",
+        [
+            ({"n": 4000, "intervals": [[0, 1]], "breaks": [1]}, 4002 * 4001),
+            ({"n": 300, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}, 302 * (2 * 301 + 301 * 301)),
+        ],
+        ids=["one-interval", "pair"],
+    )
+    def test_too_many_path_values_refused(self, tmp_path, capsys, run, values):
+        # few tuples, but every path of n + 2 values is built and each pair of
+        # paths in neighbouring layers compared: quadratic in n, cubic for the pair
+        code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        assert str(values) in report["message"]
+
 
 class TestKL:
     def test_pair_table(self, tmp_path, capsys):
@@ -260,7 +285,7 @@ class TestInternalSentinel:
         import snakemod.cli as cli_module
 
         monkeypatch.setattr(
-            cli_module, "det_leibniz", lambda m: RingElement.zero(m.snake.n)
+            cli_module, "det_laplace", lambda m: RingElement.zero(m.snake.n)
         )
         code, _, err = run_cli(
             ["det-formula", write(tmp_path, PAIR), "--oracle"], capsys
@@ -296,3 +321,108 @@ class TestDeterminism:
         assert report["valid"] is True
         text = out_path.read_text(encoding="utf-8")
         assert not any(line != line.rstrip() for line in text.splitlines())
+
+
+# --------------------------------------------------------------------------
+# the exit-code contract on drawn input
+
+# valid snakes to start from, most of them stable
+SNAKES = [EXAMPLE_ONE, PAIR, UNSTABLE, TWO_FACTOR] + [
+    s.to_json() for s in corpus.stable_corpus(223, 24, n_cap=4, r_cap=6)
+]
+JUNK = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+RANK = st.integers(1, 4) | st.integers(1, 10**6)
+
+
+@st.composite
+def snake_data(draw):
+    """Snake-shaped JSON, r <= 8: a valid snake or drawn intervals, then spoiled."""
+    if draw(st.booleans()):
+        data = copy.deepcopy(draw(st.sampled_from(SNAKES)))
+    else:
+        r = draw(st.integers(1, 8))
+        lows = draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r))
+        inner = draw(st.lists(st.integers(2, r), max_size=3)) if r > 1 else []
+        data = {
+            "n": draw(st.integers(1, 4)),
+            "intervals": [[i, i + draw(st.integers(0, 4))] for i in lows],
+            "breaks": sorted({1, r, *inner}),
+        }
+    if draw(st.booleans()):
+        data["n"] = draw(RANK)
+    spoil = draw(st.sets(st.sampled_from(["n", "endpoint", "break", "intervals"]), max_size=2))
+    if "n" in spoil:
+        data["n"] = draw(JUNK)
+    if "endpoint" in spoil:
+        pair = draw(st.sampled_from(data["intervals"]))
+        pair[draw(st.integers(0, 1))] = draw(JUNK)
+    if "break" in spoil:
+        data["breaks"][draw(st.integers(0, len(data["breaks"]) - 1))] = draw(JUNK)
+    if "intervals" in spoil:
+        data["intervals"] = draw(JUNK)
+    return data
+
+
+GEN_PARAMS = [
+    {"family": "mu-lambda", "mu": [0, 1], "lambda": [3, 2], "n": 4},
+    {"family": "mu-lambda", "mu": [0, 0, 1, 1], "lambda": [4, 3, 3, 2], "n": 4},
+    {"family": "nested", "breaks": [1, 3, 4], "lows": [1, 0, -1, 2], "highs": [6, 5, 3, 4]},
+]
+
+
+@st.composite
+def gen_params(draw):
+    """Valid family parameters with up to two values replaced or dropped."""
+    params = copy.deepcopy(draw(st.sampled_from(GEN_PARAMS)))
+    for key in draw(st.sets(st.sampled_from(sorted(params)), max_size=2) | st.just(set())):
+        if draw(st.integers(0, 4)) == 0:
+            del params[key]
+        elif key == "family":
+            params[key] = draw(st.sampled_from(["mu-lambda", "nested", "spiral"]) | JUNK)
+        elif key == "n":
+            params[key] = draw(RANK | JUNK)
+        else:
+            params[key] = draw(st.lists(st.integers(-4, 8), min_size=1, max_size=8) | JUNK)
+    return params
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(["validate", "decompose", "det-formula", "character", "kl", "gen"]))
+    if command == "gen":
+        return ["gen", "-"], draw(gen_params())
+    argv = [command, "-"]
+    if command == "det-formula" and draw(st.booleans()):
+        argv.append("--oracle")
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--n", str(draw(RANK))]
+    return argv, draw(snake_data())
+
+
+def run_in_process(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=2000, derandomize=True)
+    @given(cli_calls())
+    @example((["character", "-"], {"n": 4000, "intervals": [[0, 1]], "breaks": [1]}))
+    @example((["character", "-"], {"n": 300, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}))
+    @example((["gen", "-"], {"family": "nested", "breaks": [], "lows": [1, 0], "highs": [3, 2]}))
+    def test_exit_codes_and_determinism(self, call):
+        argv, data = call
+        text = json.dumps(data)
+        code, out, err = run_in_process(argv, text)
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert isinstance(json.loads(err), dict)
+        assert run_in_process(argv, text)[1] == out

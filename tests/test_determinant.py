@@ -8,6 +8,7 @@ import pytest
 import corpus
 from snakemod import (
     AlternatingSnake,
+    determinant,
     Interval,
     RingElement,
     InternalCheckError,
@@ -19,9 +20,11 @@ from snakemod import (
     det_leibniz,
     expansion_dominated,
     fundamental_class,
+    kl_table,
     minor_identity_holds,
     nonzero_permutations,
     permutation_sign,
+    snake_from_mu_lambda,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
@@ -113,6 +116,37 @@ class TestSigma:
 
     def test_two_by_two_connected(self, pair_snake):
         assert nonzero_permutations(snake_matrix(pair_snake)) == [(1, 2), (2, 1)]
+
+    def test_lexicographic_order(self):
+        for s in corpus.stable_corpus(211, 80):
+            sigmas = nonzero_permutations(snake_matrix(s))
+            assert all(a < b for a, b in zip(sigmas, sigmas[1:])), str(s)
+
+    def test_long_disconnected_run_deeper_than_recursion_limit(self):
+        r = 1000
+        s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
+        m = snake_matrix(s)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + r // 2)
+        try:
+            sigmas = nonzero_permutations(m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sigmas == [tuple(range(1, r + 1))]
+
+    def test_signed_sums_recompute_no_sign(self, monkeypatch):
+        # each assignment's sign is carried along the walk that finds it
+        calls = []
+        original = determinant.permutation_sign
+        monkeypatch.setattr(
+            determinant, "permutation_sign", lambda perm: calls.append(perm) or original(perm)
+        )
+        # the mu-lambda staircase mu = 0, 0, 1, 1, ..., lambda = 12, 11, 11, ...
+        r = 12
+        s = snake_from_mu_lambda([t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r)
+        assert standard_expansion(s).sigma_count == 2 ** (r - 1)
+        assert kl_table(s).rows
+        assert calls == []
 
     def test_first_slot_bounded_by_first_break(self):
         for s in corpus.stable_corpus(83, 40):

@@ -82,6 +82,11 @@ class TestNested:
             nested_prime_snake([1, 2, 4], [1, 0, 1, 2], [6, 5, 3, 4])
         assert exc.value.chain == "breaks"
 
+    def test_empty_break_vector_rejected(self):
+        with pytest.raises(FamilyConstraintError) as exc:
+            nested_prime_snake([], [1, 0, -1, 2], [6, 5, 3, 4])
+        assert exc.value.chain == "breaks"
+
     def test_run_direction_violation(self):
         with pytest.raises(FamilyConstraintError) as exc:
             nested_prime_snake([1, 3, 4], [0, 1, -1, 2], [6, 5, 3, 4])

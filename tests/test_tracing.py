@@ -48,6 +48,7 @@ def test_instrument_records_spans_and_restores(tracing):
     with tracing.instrument(tracer):
         determinant.standard_expansion(s)
         determinant.det_leibniz(determinant.snake_matrix(s))
+        determinant.nonzero_permutations(determinant.snake_matrix(s))
         category_o.kl_table(pair)
         determinant.standard_expansion(pair).as_ring_element()
         paths.snake_dimension(pair)
