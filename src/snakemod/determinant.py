@@ -11,7 +11,9 @@ expanded over standard module classes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -24,16 +26,38 @@ from .snakes import LEFT, RIGHT, AlternatingSnake
 
 @dataclass(frozen=True)
 class SnakeMatrix:
+    """The snake matrix as its nonzero cells, 1-based: ``rows[p - 1]`` holds row p's
+    (column, label) pairs by ascending column, ``cols`` the same by column, and
+    ``entries`` is the dense r x r view, built on each read."""
+
     snake: AlternatingSnake
-    entries: tuple[tuple[Interval | None, ...], ...]
+    rows: tuple[tuple[tuple[int, Interval], ...], ...]
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @cached_property
+    def cols(self) -> tuple[tuple[tuple[int, Interval], ...], ...]:
+        out: list[list[tuple[int, Interval]]] = [[] for _ in self.rows]
+        for p, row in enumerate(self.rows, 1):
+            for l, iv in row:
+                out[l - 1].append((p, iv))
+        return tuple(map(tuple, out))
+
+    @property
+    def entries(self) -> tuple[tuple[Interval | None, ...], ...]:
+        out = []
+        for row in self.rows:
+            dense: list[Interval | None] = [None] * self.size
+            for l, iv in row:
+                dense[l - 1] = iv
+            out.append(tuple(dense))
+        return tuple(out)
 
     def entry(self, p: int, l: int) -> Interval | None:
         """The interval label at 1-based (row, column), or None for a zero."""
-        return self.entries[p - 1][l - 1]
+        return dict(self.rows[p - 1]).get(l)
 
     def pattern(self) -> tuple[tuple[bool, ...], ...]:
         return tuple(tuple(e is not None for e in row) for row in self.entries)
@@ -76,16 +100,16 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
     ends = [b - 1 for b in starts[1:]] + [r]
     row_windows = _windows(s, True)
     col_windows = _windows(s, False)
-    rows: list[tuple[Interval | None, ...]] = []
+    rows: list[tuple[tuple[int, Interval], ...]] = []
     for a, b in zip(starts, ends):
+        by_j = sorted(range(a, b + 1), key=lambda l: ivs[l - 1].j)
+        js = [ivs[l - 1].j for l in by_j]
         for p in range(a, b + 1):
             i = ivs[p - 1].i
             row_lo, row_hi = row_windows[p]
-            cells: list[Interval | None] = [None] * (b - a + 1)
-            for l in range(a, b + 1):
-                j = ivs[l - 1].j
-                if not 0 <= j - i <= n + 1:
-                    continue
+            cells = []
+            # the well-formed cells of the block: 0 <= j_l - i_p <= n + 1
+            for l in sorted(by_j[bisect_left(js, i) : bisect_right(js, i + n + 1)]):
                 keep = row_lo <= l <= row_hi
                 col_lo, col_hi = col_windows[l]
                 if keep != (col_lo <= p <= col_hi):
@@ -93,8 +117,8 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
                         f"row and column entry rules disagree at ({p}, {l}) for {s}"
                     )
                 if keep:
-                    cells[l - a] = Interval(i, j)
-            rows.append((None,) * (a - 1) + tuple(cells) + (None,) * (r - b))
+                    cells.append((l, Interval(i, ivs[l - 1].j)))
+            rows.append(tuple(cells))
     return SnakeMatrix(s, tuple(rows))
 
 
@@ -109,14 +133,8 @@ def det_dimension(m: SnakeMatrix) -> int:
     raises InternalCheckError.
     """
     n1 = m.snake.n + 1
-    rows = [
-        {l: comb(n1, iv.length) for l, iv in enumerate(row) if iv is not None}
-        for row in m.entries
-    ]
-    live_in_col: list[set[int]] = [set() for _ in rows]
-    for p, row in enumerate(rows):
-        for l in row:
-            live_in_col[l].add(p)
+    rows = [{l - 1: comb(n1, iv.length) for l, iv in row} for row in m.rows]
+    live_in_col = [{p - 1 for p, _ in col} for col in m.cols]
     rel = [1] * len(rows)  # the pivot each stored row is relative to
     prev = 1
     pivot_rows = []
@@ -162,13 +180,15 @@ def _exact(x: int, d: int) -> int:
 
 
 def permutation_sign(perm: tuple[int, ...]) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
+    """The sign of the inversions of distinct values, from the cycles of their ranks."""
+    rank = {v: k for k, v in enumerate(sorted(perm))}
+    dest, swaps = [rank[v] for v in perm], 0
+    for k in range(len(dest)):
+        while dest[k] != k:  # each swap settles one value, so len(perm) - cycles swaps
+            t = dest[k]
+            dest[k], dest[t] = dest[t], t
+            swaps += 1
+    return -1 if swaps % 2 else 1
 
 
 def walk(depth: int, children: Callable[[list], Iterable]) -> Iterator[tuple]:
@@ -201,8 +221,7 @@ def _assignments(m: SnakeMatrix) -> Iterator[tuple]:
     the last choice is the assignment's sign: placing x flips it once per
     larger index already used.
     """
-    lines = zip(*m.entries) if m.snake.first_direction() == LEFT else m.entries
-    cand = [[(x, iv) for x, iv in enumerate(line, 1) if iv is not None] for line in lines]
+    cand = m.cols if m.snake.first_direction() == LEFT else m.rows
 
     def children(prefix: list) -> list:
         used, sign = prefix[-1][2:] if prefix else (0, 1)
@@ -273,37 +292,27 @@ def det_laplace(
             stack.append((key, line))
             stack.extend((minor, None) for _, _, minor in line if minor not in memo)
             continue
-        total = RingElement.zero(n)
+        terms = []
         for even, iv, minor in line:
-            cof = fundamental_class(iv, n) * memo[minor]
-            total = total + (cof if even else -cof)
-        memo[key] = total
+            for g, d in fundamental_class(iv, n).terms:
+                terms.extend((g * w, d * c if even else -d * c) for w, c in memo[minor].terms)
+        memo[key] = RingElement.from_terms(n, terms)
     return memo[(rows, cols)]
 
 
 def _cofactor_line(m: SnakeMatrix, rs: tuple[int, ...], cs: tuple[int, ...]) -> list:
     """(even sign, label, minor) for each nonzero entry of the sparsest line of (rs, cs)."""
-    row_counts = [sum(m.entry(p, l) is not None for l in cs) for p in rs]
-    col_counts = [sum(m.entry(p, l) is not None for p in rs) for l in cs]
-    br, bc = min(range(len(rs)), key=row_counts.__getitem__), min(
-        range(len(cs)), key=col_counts.__getitem__
-    )
-    out = []
-    if row_counts[br] <= col_counts[bc]:
-        p = rs[br]
-        sub_rows = rs[:br] + rs[br + 1 :]
-        for ci, l in enumerate(cs):
-            iv = m.entry(p, l)
-            if iv is not None:
-                out.append(((br + ci) % 2 == 0, iv, (sub_rows, cs[:ci] + cs[ci + 1 :])))
-    else:
-        l = cs[bc]
-        sub_cols = cs[:bc] + cs[bc + 1 :]
-        for ri, p in enumerate(rs):
-            iv = m.entry(p, l)
-            if iv is not None:
-                out.append(((ri + bc) % 2 == 0, iv, (rs[:ri] + rs[ri + 1 :], sub_cols)))
-    return out
+    rpos = {p: k for k, p in enumerate(rs)}
+    cpos = {l: k for k, l in enumerate(cs)}
+    row_lines = [[(cpos[l], iv) for l, iv in m.rows[p - 1] if l in cpos] for p in rs]
+    col_lines = [[(rpos[p], iv) for p, iv in m.cols[l - 1] if p in rpos] for l in cs]
+    br = min(range(len(rs)), key=lambda k: len(row_lines[k]))
+    bc = min(range(len(cs)), key=lambda k: len(col_lines[k]))
+    if len(row_lines[br]) <= len(col_lines[bc]):
+        rest = rs[:br] + rs[br + 1 :]
+        return [((br + ci) % 2 == 0, iv, (rest, cs[:ci] + cs[ci + 1 :])) for ci, iv in row_lines[br]]
+    rest = cs[:bc] + cs[bc + 1 :]
+    return [((ri + bc) % 2 == 0, iv, (rs[:ri] + rs[ri + 1 :], rest)) for ri, iv in col_lines[bc]]
 
 
 @dataclass(frozen=True)
@@ -382,8 +391,9 @@ def minor_identity_holds(s: AlternatingSnake, p: int) -> bool:
     if det_laplace(m, rows, cols) != det_laplace(mp):
         return False
     if sp.is_connected():
-        sub = tuple(tuple(m.entry(rp, cl) for cl in cols) for rp in rows)
-        if sub != mp.entries:
+        at = {l: c for c, l in enumerate(cols, 1)}
+        sub = tuple(tuple((at[l], iv) for l, iv in m.rows[rp - 1] if l in at) for rp in rows)
+        if sub != mp.rows:
             return False
     return True
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -142,6 +143,18 @@ class TestDetFormula:
         report = json.loads(out)
         assert len(report["terms"]) == 1
         assert report["sigma_count"] == 1
+
+    def test_long_disconnected_run_oracle(self, tmp_path, capsys):
+        # the cofactor expansion reads sparse lines, so it is quadratic here
+        r = 500
+        long_run = {"n": 3, "intervals": [[-3 * t, -3 * t + 1] for t in range(r)], "breaks": [1, r]}
+        start = time.perf_counter()
+        code, out, _ = run_cli(["det-formula", write(tmp_path, long_run), "--oracle"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        report = json.loads(out)
+        assert report["oracle"] == "ok"
+        assert len(report["terms"]) == 1
 
 
 class TestDecompose:

@@ -32,6 +32,7 @@ from snakemod import (
 )
 from snakemod.determinant import _exact, det_dimension
 from snakemod.lweight import LWeight
+from snakemod.paths import snake_dimension
 
 
 def pattern_lines(m):
@@ -106,6 +107,63 @@ class TestMatrixPattern:
                     iv = m.entry(l, p)
                     expected = iv.mirrored() if iv is not None else None
                     assert mm.entry(p, l) == expected
+
+    def test_build_cross_checks_every_well_formed_cell(self, example_one, monkeypatch):
+        # the row and column rules are compared on every well-formed cell of a
+        # connected block, not only on the cells inside the row window
+        windows = determinant._windows
+
+        def with_col_windows(lo, hi):
+            return lambda s, along_rows: windows(s, True) if along_rows else [(lo, hi)] * (s.r + 1)
+
+        monkeypatch.setattr(determinant, "_windows", with_col_windows(5, 0))
+        with pytest.raises(InternalCheckError, match=r"at \(1, 1\)"):
+            snake_matrix(example_one)
+        # (3, 1) is well formed but outside row 3's window
+        monkeypatch.setattr(determinant, "_windows", with_col_windows(1, 4))
+        with pytest.raises(InternalCheckError, match=r"at \(3, 1\)"):
+            snake_matrix(example_one)
+
+
+class TestSparseMatrix:
+    def test_rows_cols_and_dense_view_agree(self):
+        for s in corpus.stable_corpus(149, 60):
+            m = snake_matrix(s)
+            by_row = [(p, l, iv) for p, row in enumerate(m.rows, 1) for l, iv in row]
+            by_col = [(p, l, iv) for l, col in enumerate(m.cols, 1) for p, iv in col]
+            dense = [
+                (p, l, iv)
+                for p, row in enumerate(m.entries, 1)
+                for l, iv in enumerate(row, 1)
+                if iv is not None
+            ]
+            assert by_row == dense, str(s)
+            assert sorted(by_col) == by_row, str(s)
+            assert all(c[0] < d[0] for line in m.cols for c, d in zip(line, line[1:]))
+
+    def test_long_connected_run_is_banded(self):
+        s = AlternatingSnake.single_run([(-t, -t + 1) for t in range(1100)], 1)
+        assert sum(len(row) for row in snake_matrix(s).rows) == 3 * 1100 - 2
+
+    def test_routes_read_no_dense_table(self, monkeypatch):
+        reads = []
+        dense = SnakeMatrix.entries
+        counted = property(lambda m: reads.append(m) or dense.fget(m))
+        monkeypatch.setattr(SnakeMatrix, "entries", counted)
+        r = 8
+        staircase = snake_from_mu_lambda(
+            [t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r
+        )
+        split = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(200)], 3)
+        connected = AlternatingSnake.single_run([(-t, -t + 1) for t in range(1100)], 1)
+        for s in (staircase, split):
+            m = snake_matrix(s)
+            det_laplace(m), det_leibniz(m), nonzero_permutations(m), det_dimension(m)
+            standard_expansion(s)
+        kl_table(staircase)
+        snake_dimension(split), snake_dimension(connected), det_dimension(snake_matrix(connected))
+        assert reads == []
+        assert snake_matrix(staircase).entries and len(reads) == 1
 
 
 class TestSigma:
@@ -239,6 +297,26 @@ class TestDeterminants:
         assert got == det_leibniz(m)
 
 
+class TestPermutationSign:
+    @staticmethod
+    def by_inversions(perm):
+        inv = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1 :])
+        return -1 if inv % 2 else 1
+
+    def test_every_small_permutation(self):
+        # size 0 is the empty tuple, whose sign is +1
+        for size in range(7):
+            for base in (0, 1):
+                for perm in itertools.permutations(range(base, base + size)):
+                    assert permutation_sign(perm) == self.by_inversions(perm), perm
+
+    def test_distinct_values_with_gaps(self):
+        rng = random.Random(151)
+        for _ in range(2000):
+            perm = tuple(rng.sample(range(-50, 50), rng.randint(0, 12)))
+            assert permutation_sign(perm) == self.by_inversions(perm), perm
+
+
 class TestDetDimension:
     def test_matches_laplace_dimension(self, example_one):
         snakes = (
@@ -258,14 +336,14 @@ class TestDetDimension:
             m = snake_matrix(s)
             perm = list(range(s.r))
             rng.shuffle(perm)
-            shuffled = SnakeMatrix(s, tuple(m.entries[p] for p in perm))
+            shuffled = SnakeMatrix(s, tuple(m.rows[p] for p in perm))
             sign = permutation_sign(tuple(perm))
             assert det_dimension(shuffled) == sign * det_dimension(m), str(s)
             assert det_dimension(shuffled) == det_laplace(shuffled).dimension(), str(s)
 
     def test_repeated_row_is_singular(self, example_one):
         m = snake_matrix(example_one)
-        rows = m.entries
+        rows = m.rows
         assert det_dimension(SnakeMatrix(example_one, (rows[0], rows[0], *rows[2:]))) == 0
 
     def test_pair_value(self, pair_snake):
