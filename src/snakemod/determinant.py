@@ -280,6 +280,8 @@ def det_laplace(
     cols = all_idx if cols is None else tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("row and column sets must have equal size")
+    if any(len(set(idx)) != len(idx) or not set(idx) <= set(all_idx) for idx in (rows, cols)):
+        raise ValueError(f"rows and columns must be distinct indices in 1..{m.size}")
     memo = {((), ()): RingElement.one(n)}
     # a minor is pushed bare, then again with its line once its own minors are queued
     stack: list = [((rows, cols), None)]

@@ -12,7 +12,8 @@ dimension, is the snake matrix's determinant evaluated at binomials
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import accumulate, combinations
 
 from .determinant import det_dimension, snake_matrix, walk
 from .errors import MalformedIntervalError, UnsupportedSnakeError
@@ -38,25 +39,38 @@ def enumerate_paths(iv: Interval, n: int) -> list[LatticePath]:
     """All paths for the interval; there are binomial(n+1, j-i) of them."""
     if not iv.is_well_formed(n):
         raise MalformedIntervalError(iv, n)
-    paths = []
-    for downs in combinations(range(n + 1), iv.length):
-        down_set = set(downs)
-        vals = [2 * iv.j]
-        for t in range(n + 1):
-            vals.append(vals[-1] + (-1 if t in down_set else 1))
-        paths.append(LatticePath(n, iv, tuple(vals)))
-    return paths
+    return [_lattice_path(iv, n, downs) for downs in combinations(range(n + 1), iv.length)]
+
+
+def _lattice_path(iv: Interval, n: int, downs: tuple[int, ...]) -> LatticePath:
+    """The path of the interval whose down steps (step t joins g(t) to g(t+1)) are ``downs``."""
+    down_set = set(downs)
+    steps = (-1 if t in down_set else 1 for t in range(n + 1))
+    return LatticePath(n, iv, tuple(accumulate(steps, initial=2 * iv.j)))
+
+
+def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[tuple[int, int], int]]:
+    """The corners of a path of [i, j], read from its down steps, as (endpoints, exponent).
+
+    The down step d with c down steps before it tops a maximum [j-c, j+d-c]
+    (exponent -1) when d >= 1 and d-1 is an up step, and leads into a minimum
+    [j-c-1, j+d-c] (exponent +1) when d+1 <= n is an up step.  Their lengths
+    lie in 1..n, so no corner is a boundary generator.
+    """
+    out = []
+    for c, d in enumerate(downs):
+        if d >= 1 and (c == 0 or downs[c - 1] != d - 1):
+            out.append(((j - c, j + d - c), -1))
+        if d < n and (c + 1 == len(downs) or downs[c + 1] != d + 1):
+            out.append(((j - c - 1, j + d - c), 1))
+    return out
 
 
 def corner_set(path: LatticePath) -> CornerSet:
-    plus, minus = [], []
     g = path.values
-    for t in range(1, path.n + 1):
-        if g[t - 1] == g[t] + 1 == g[t + 1]:
-            plus.append(Interval((g[t] - t) // 2, (g[t] + t) // 2))
-        elif g[t - 1] == g[t] - 1 == g[t + 1]:
-            minus.append(Interval((g[t] - t) // 2, (g[t] + t) // 2))
-    return CornerSet(tuple(plus), tuple(minus))
+    downs = tuple(t for t in range(path.n + 1) if g[t + 1] < g[t])
+    corners = [(Interval(*ij), e) for ij, e in _corners(downs, path.interval.j, path.n)]
+    return CornerSet(*(tuple(iv for iv, e in corners if e == sign) for sign in (1, -1)))
 
 
 def path_weight(path: LatticePath) -> LWeight:
@@ -66,27 +80,29 @@ def path_weight(path: LatticePath) -> LWeight:
     )
 
 
-def _stacked_layers(intervals, n):
-    """The paths of each interval, and a walk over the index tuples of stacked paths."""
-    layers = [enumerate_paths(iv, n) for iv in intervals]
-    # per consecutive pair of layers, the strictly-above relation
-    compat = []
-    for above, below in zip(layers, layers[1:]):
-        rows = []
-        for a in above:
-            rows.append(
-                [
-                    idx
-                    for idx, b in enumerate(below)
-                    if all(x > y for x, y in zip(a.values, b.values))
-                ]
-            )
-        compat.append(rows)
+def _stacked_downs(intervals, n):
+    """Every strictly stacked path tuple of a descending run, as down-step sets.
+
+    Top layer first, in the lexicographic order of the down-step sets.  With
+    d = j_t - j_{t+1} >= 1 and i_t > i_{t+1}, the path D' of layer t+1 lies
+    strictly below the path D of layer t exactly when D'[m] <= D[m + d - 1]
+    wherever the right side exists.  The lowest down-step set always
+    qualifies, so neither walk dead-ends and the cost follows the output.
+    """
+    memo: dict = {}
 
     def children(prefix):
-        return compat[len(prefix) - 1][prefix[-1]] if prefix else range(len(layers[0]))
+        t, above = len(prefix), prefix[-1] if prefix else ()
+        if (t, above) not in memo:
+            length = intervals[t].length
+            # D'[m] <= D[m + d - 1], leaving room for the down steps after m
+            bound = above[intervals[t - 1].j - intervals[t].j - 1 :] if t else ()
+            caps = [min(n - length + 1 + m, bound[m] if m < len(bound) else n) for m in range(length)]
+            steps = lambda pre: range(pre[-1] + 1 if pre else 0, caps[len(pre)] + 1)
+            memo[t, above] = list(walk(length, steps)) if length else [()]
+        return memo[t, above]
 
-    return layers, walk(len(layers), children)
+    return walk(len(intervals), children)
 
 
 def _as_left_run(s: AlternatingSnake):
@@ -105,23 +121,24 @@ def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
     in the input's position order.
     """
     ivs, flipped = _as_left_run(s)
-    layers, stacks = _stacked_layers(ivs, s.n)
-    tuples = [tuple(layers[t][i] for t, i in enumerate(idx)) for idx in stacks]
+    path = cache(lambda t, downs: _lattice_path(ivs[t], s.n, downs))
+    tuples = [tuple(map(path, range(len(ivs)), stack)) for stack in _stacked_downs(ivs, s.n)]
     return [tup[::-1] for tup in tuples] if flipped else tuples
 
 
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
-    layers, stacks = _stacked_layers(ivs, s.n)
-    gens = [[path_weight(p).gens for p in layer] for layer in layers]
+    # sorted endpoint pairs keep summing and sorting in C; one Interval per pair
+    corners = cache(lambda t, downs: sorted(_corners(downs, ivs[t].j, s.n)))
+    interval = cache(Interval)
     seen: set[tuple] = set()
-    for idx in stacks:
+    for stack in _stacked_downs(ivs, s.n):
         acc: dict = {}
-        for t, i in enumerate(idx):
-            for iv, e in gens[t][i]:
-                acc[iv] = acc.get(iv, 0) + e
-        seen.add(tuple((iv, e) for iv, e in sorted(acc.items()) if e))
+        for t, downs in enumerate(stack):
+            for ij, e in corners(t, downs):
+                acc[ij] = acc.get(ij, 0) + e
+        seen.add(tuple((interval(*ij), e) for ij, e in sorted(acc.items()) if e))
     return {LWeight(s.n, key) for key in seen}
 
 

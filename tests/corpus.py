@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from snakemod import LEFT, RIGHT, AlternatingSnake, InvalidSnakeError, enumerate_paths
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
@@ -17,9 +18,7 @@ def path_count(s: AlternatingSnake) -> int:
     every interval and sums, bottom layer up, the tuples each path can top.
     An ascending run is counted through its reversal.
     """
-    if s.k > 1:
-        raise ValueError("the path model covers single-run snakes only")
-    ivs = s.intervals if s.r == 1 or s.first_direction() == LEFT else s.intervals[::-1]
+    ivs, _ = _left_run(s)
     below: list = []
     counts: list[int] = []
     for iv in reversed(ivs):
@@ -33,6 +32,32 @@ def path_count(s: AlternatingSnake) -> int:
             counts = [1] * len(layer)
         below = layer
     return sum(counts)
+
+
+def stacked_tuples(s: AlternatingSnake) -> list[tuple]:
+    """Stacked path tuples of a single run, by brute force.
+
+    The path-model oracle for ``noncrossing_tuples``: the product of every
+    interval's paths, in its lexicographic order, filtered on each path lying
+    strictly above the next at every point.  An ascending run goes through
+    its reversal and is reported in its own position order.
+    """
+    ivs, flipped = _left_run(s)
+    layers = [enumerate_paths(iv, s.n) for iv in ivs]
+    kept = [
+        tup
+        for tup in product(*layers)
+        if all(x > y for a, b in zip(tup, tup[1:]) for x, y in zip(a.values, b.values))
+    ]
+    return [tup[::-1] for tup in kept] if flipped else kept
+
+
+def _left_run(s: AlternatingSnake) -> tuple[tuple, bool]:
+    if s.k > 1:
+        raise ValueError("the path model covers single-run snakes only")
+    if s.r == 1 or s.first_direction() == LEFT:
+        return s.intervals, False
+    return s.intervals[::-1], True
 
 
 def random_connected_left_run(rng: random.Random, n: int, r: int, base: int = 8) -> AlternatingSnake:

@@ -10,6 +10,7 @@ from snakemod import (
     highest_weight_pair,
     is_dominant_vector,
     kl_table,
+    snake_from_mu_lambda,
     sorting_permutation,
 )
 
@@ -94,6 +95,17 @@ class TestKLTable:
             s, _ = corpus.random_nested(rng, k_max=3)
             table = kl_table(s)
             assert set(table.as_dict().values()) <= {-1, 1}
+
+    @pytest.mark.parametrize("r, rows", [(8, 24), (10, 72), (12, 200), (14, 584)])
+    def test_staircase_coefficients_are_units(self, r, rows):
+        # the paper's headline: for mu + rho neither dominant nor regular the
+        # nonzero coefficients are still +-1; the staircase repeats every value
+        s = snake_from_mu_lambda([t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r)
+        table = kl_table(s)
+        assert not is_dominant_vector(table.mu_plus_rho)
+        assert len(set(table.mu_plus_rho)) < r
+        assert len(table.rows) == rows
+        assert {c for _, c in table.rows} == {1, -1}
 
     def test_rows_are_permutations_of_base(self):
         for s in _kl_corpus(163, 40):

@@ -250,6 +250,23 @@ class TestDeterminants:
         s = AlternatingSnake.build([[0, 2]], [1], 3)
         assert det_laplace(snake_matrix(s)) == fundamental_class(Interval(0, 2), 3)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [((0,), (1,)), ((1, 1), (1, 2)), ((3,), (1,)), ((1,), (-1,)), ((1, 2), (2, 2))],
+        ids=["row-zero", "repeated-row", "row-past-end", "col-negative", "repeated-col"],
+    )
+    def test_minor_indices_checked(self, pair_snake, rows, cols):
+        # an index outside 1..2, or a repeated one, names no minor of the matrix
+        with pytest.raises(ValueError, match="distinct indices in 1..2"):
+            det_laplace(snake_matrix(pair_snake), rows, cols)
+
+    def test_permuted_minors_accepted(self, pair_snake):
+        m = snake_matrix(pair_snake)
+        whole = det_laplace(m)
+        assert det_laplace(m, (2, 1), (1, 2)) == -whole
+        assert det_laplace(m, (2, 1), (2, 1)) == whole
+        assert det_laplace(m, (1,), (2,)) == fundamental_class(m.entry(1, 2), 2)
+
     def test_block_diagonal_when_disconnected(self):
         s = AlternatingSnake.single_run([[0, 3], [-5, -2]], 8)
         m = snake_matrix(s)

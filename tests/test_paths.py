@@ -136,14 +136,17 @@ class TestTuples:
         s = AlternatingSnake.single_run([[0, 2], [-1, 1]], 2)
         tuples = noncrossing_tuples(s)
         assert len(tuples) == 6
-        # brute force: filter the full product on pointwise domination
-        brute = [
-            (a, b)
-            for a in enumerate_paths(Interval(0, 2), 2)
-            for b in enumerate_paths(Interval(-1, 1), 2)
-            if all(x > y for x, y in zip(a.values, b.values))
-        ]
-        assert len(brute) == 6
+        assert tuples == corpus.stacked_tuples(s)
+
+    def test_tuples_and_weights_match_brute_force(self):
+        # the product of the layers filtered pointwise: same tuples, same order
+        rng = random.Random(151)
+        for _ in range(60):
+            s = corpus.random_single_run(rng, rng.randint(1, 4), rng.randint(1, 3), rng.random() < 0.5)
+            brute = corpus.stacked_tuples(s)
+            assert noncrossing_tuples(s) == brute, str(s)
+            top = LWeight.identity(s.n)
+            assert ell_weights(s) == {prod(map(path_weight, tup), start=top) for tup in brute}, str(s)
 
     def test_singleton(self):
         s = AlternatingSnake.build([[0, 1]], [1], 1)
