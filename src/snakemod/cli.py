@@ -29,8 +29,8 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-# ell_weights' cost follows the stacked path tuples, which the dimension counts
-CHARACTER_MAX_TUPLES = 200_000
+# ell_weights' work, memory and output grow with the tuples times their layers and down steps
+CHARACTER_MAX_STEPS = 400_000
 
 
 class InputError(Exception):
@@ -148,9 +148,11 @@ def cmd_det_formula(args) -> int:
 def cmd_character(args) -> int:
     s = _load_snake(_read_json(args.input), args.n)
     dim = snake_dimension(s)
-    if dim > CHARACTER_MAX_TUPLES:
+    steps = s.r + sum(iv.length for iv in s.intervals)
+    if dim * steps > CHARACTER_MAX_STEPS:
         raise UnsupportedSnakeError(
-            f"character would enumerate {dim} path tuples; the limit is {CHARACTER_MAX_TUPLES}"
+            f"character would enumerate {dim} path tuples of {steps} layers and down steps "
+            f"each, {dim * steps} in all; the limit is {CHARACTER_MAX_STEPS}"
         )
     weights = sorted(ell_weights(s), key=lambda w: w.sort_key())
     payload = {

@@ -215,13 +215,33 @@ class TestCharacter:
         ids=["one-interval", "pair"],
     )
     def test_long_paths_answered(self, tmp_path, capsys, run):
-        # long paths but few tuples (4,001 and 45,451), under the tuple bound
+        # long paths but few tuples (4,001 and 45,451) of few down steps
         code, out, _ = run_cli(["character", write(tmp_path, run)], capsys)
         assert code == 0
         report = json.loads(out)
         s = snakemod.AlternatingSnake.from_json(run)
         assert report["dim"] == snakemod.snake_dimension(s)
         assert len(report["weights"]) == report["dim"]
+
+    @pytest.mark.parametrize(
+        "run, dim",
+        [
+            ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 1),
+            ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001),
+            ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 197_676),
+        ],
+        ids=["one-path", "one-interval", "triple"],
+    )
+    def test_long_tuples_refused(self, tmp_path, capsys, run, dim):
+        # the work is the tuples times the down steps of each, not the tuples alone
+        start = time.perf_counter()
+        code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        assert f"enumerate {dim} path tuples" in report["message"]
 
 
 class TestKL:
