@@ -1,7 +1,8 @@
 """Batch command line: JSON in, canonical JSON out.
 
-Exit codes: 0 success, 2 invalid input, 3 mathematical refusal (valid input
-outside an operation's scope), 4 internal cross-check failure.
+Exit codes: 0 success, 2 invalid input (including JSON nested too deeply to
+read and an output file that cannot be written), 3 mathematical refusal
+(valid input outside an operation's scope), 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _read_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply to read") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -54,8 +57,11 @@ def _read_json(path: str):
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

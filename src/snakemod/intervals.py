@@ -8,11 +8,12 @@ to the zero class rather than to an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(NamedTuple):
+    """The immutable pair (i, j): it sorts, hashes and compares as that tuple."""
+
     i: int
     j: int
 

@@ -49,8 +49,8 @@ def _lattice_path(iv: Interval, n: int, downs: tuple[int, ...]) -> LatticePath:
     return LatticePath(n, iv, tuple(accumulate(steps, initial=2 * iv.j)))
 
 
-def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[tuple[int, int], int]]:
-    """The corners of a path of [i, j], read from its down steps, as (endpoints, exponent).
+def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int]]:
+    """The corners of a path of [i, j], read from its down steps, as (interval, exponent).
 
     The down step d with c down steps before it tops a maximum [j-c, j+d-c]
     (exponent -1) when d >= 1 and d-1 is an up step, and leads into a minimum
@@ -60,16 +60,16 @@ def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[tuple[int, in
     out = []
     for c, d in enumerate(downs):
         if d >= 1 and (c == 0 or downs[c - 1] != d - 1):
-            out.append(((j - c, j + d - c), -1))
+            out.append((Interval(j - c, j + d - c), -1))
         if d < n and (c + 1 == len(downs) or downs[c + 1] != d + 1):
-            out.append(((j - c - 1, j + d - c), 1))
+            out.append((Interval(j - c - 1, j + d - c), 1))
     return out
 
 
 def corner_set(path: LatticePath) -> CornerSet:
     g = path.values
     downs = tuple(t for t in range(path.n + 1) if g[t + 1] < g[t])
-    corners = [(Interval(*ij), e) for ij, e in _corners(downs, path.interval.j, path.n)]
+    corners = _corners(downs, path.interval.j, path.n)
     return CornerSet(*(tuple(iv for iv, e in corners if e == sign) for sign in (1, -1)))
 
 
@@ -129,16 +129,14 @@ def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
-    # sorted endpoint pairs keep summing and sorting in C; one Interval per pair
-    corners = cache(lambda t, downs: sorted(_corners(downs, ivs[t].j, s.n)))
-    interval = cache(Interval)
+    corners = cache(lambda t, downs: _corners(downs, ivs[t].j, s.n))
     seen: set[tuple] = set()
     for stack in _stacked_downs(ivs, s.n):
         acc: dict = {}
         for t, downs in enumerate(stack):
-            for ij, e in corners(t, downs):
-                acc[ij] = acc.get(ij, 0) + e
-        seen.add(tuple((interval(*ij), e) for ij, e in sorted(acc.items()) if e))
+            for iv, e in corners(t, downs):
+                acc[iv] = acc.get(iv, 0) + e
+        seen.add(tuple((iv, e) for iv, e in sorted(acc.items()) if e))
     return {LWeight(s.n, key) for key in seen}
 
 

@@ -10,7 +10,7 @@ break vector.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -108,19 +108,23 @@ def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
             out.append(
                 Diagnostic("alt1", (m, m + 1), f"runs {m} and {m + 1} do not alternate")
             )
-    # each pair straddling a break is tested once, from the first break above s
+    # an overlapping pair is tested once, from the interval with the smaller
+    # lower endpoint: the other's lower endpoint lies in its (i, j].  A single
+    # run has no break for a pair to overlap across.
     inner = bl[1:-1]
-    straddling = [
-        (s, l)
-        for s in range(1, max(inner, default=1))
-        for l in range(inner[bisect_right(inner, s)] + 1, r + 1)
-        if overlaps(ivs[s - 1], ivs[l - 1])
-    ]
+    order = sorted(range(1, r + 1), key=lambda p: ivs[p - 1].i) if inner else []
+    lows = [ivs[p - 1].i for p in order]
+    found = []
+    for p in order:
+        a = ivs[p - 1]
+        for q in order[bisect_right(lows, a.i) : bisect_right(lows, a.j)]:
+            if overlaps(a, ivs[q - 1]):
+                s, l = min(p, q), max(p, q)
+                between = inner[bisect_right(inner, s) : bisect_left(inner, l)]
+                found.extend((rm, s, l) for rm in between)
     out.extend(
         Diagnostic("alt2", (s, rm, l), f"intervals {s} and {l} overlap across break {rm}")
-        for rm in inner
-        for s, l in straddling
-        if s < rm < l
+        for rm, s, l in sorted(found)
     )
     return out
 

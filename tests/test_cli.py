@@ -458,3 +458,46 @@ class TestContract:
         if code:
             assert isinstance(json.loads(err), dict)
         assert run_in_process(argv, text)[1] == out
+
+
+class TestInputOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate", "-"], ["decompose", "-"], ["det-formula", "-"], ["character", "-"], ["kl", "-"], ["gen", "-"]],
+    )
+    def test_deeply_nested_json_exits_2(self, argv):
+        code, out, err = run_in_process(argv, "[" * 100_000)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": "JSON nested too deeply to read"}
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
+        out_path = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli(["validate", write(tmp_path, PAIR), "-o", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        report = json.loads(err)
+        assert report["error"] == "invalid-input"
+        assert report["message"].startswith(f"cannot write {out_path}: ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """The README's worked examples, byte for byte (stdout, or stderr on a refusal)."""
+
+    @pytest.mark.parametrize(
+        "name, argv, data, code",
+        [
+            ("validate", ["validate", "-"], EXAMPLE_ONE, 0),
+            ("decompose", ["decompose", "-"], EXAMPLE_ONE, 0),
+            ("det-formula", ["det-formula", "-", "--oracle"], EXAMPLE_ONE, 0),
+            ("kl", ["kl", "-"], EXAMPLE_ONE, 3),
+            ("kl-pair", ["kl", "-"], PAIR, 0),
+            ("character-pair", ["character", "-"], PAIR, 0),
+        ],
+    )
+    def test_bytes(self, name, argv, data, code):
+        golden = (GOLDEN / f"{name}.txt").read_bytes()
+        got, out, err = run_in_process(argv, json.dumps(data))
+        assert (got, out.encode(), err.encode()) == ((code, golden, b"") if code == 0 else (code, b"", golden))

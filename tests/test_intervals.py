@@ -1,4 +1,8 @@
-from snakemod import Interval, is_connected_pair, overlaps
+import random
+
+import pytest
+
+from snakemod import Interval, as_interval, is_connected_pair, overlaps
 
 
 def test_well_formed_bounds():
@@ -44,3 +48,31 @@ def test_mirror_involution():
     iv = Interval(-3, 2)
     assert iv.mirrored() == Interval(-2, 3)
     assert iv.mirrored().mirrored() == iv
+
+
+class TestValueType:
+    """An interval is the immutable pair (i, j): same hash, order and repr as that pair."""
+
+    def test_hash_is_the_pairs(self):
+        for i, j in [(0, 0), (-3, 2), (5, 1), (10**6, -(10**6))]:
+            assert hash(Interval(i, j)) == hash((i, j))
+
+    def test_sorts_as_pairs(self):
+        rng = random.Random(3)
+        pairs = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(200)]
+        assert [iv.as_pair() for iv in sorted(Interval(*p) for p in pairs)] == sorted(pairs)
+
+    def test_repr(self):
+        assert repr(Interval(-1, 2)) == "Interval(i=-1, j=2)"
+
+    @pytest.mark.parametrize("field", ["i", "j"])
+    def test_fields_are_read_only(self, field):
+        iv = Interval(0, 1)
+        with pytest.raises(AttributeError):
+            setattr(iv, field, 5)
+        assert iv == Interval(0, 1)
+
+    def test_as_interval_keeps_an_interval(self):
+        iv = Interval(-2, 3)
+        assert as_interval(iv) is iv
+        assert as_interval([-2, 3]) == iv and type(as_interval((-2, 3))) is Interval

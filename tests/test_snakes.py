@@ -69,6 +69,31 @@ class TestValidation:
             (3, 4, 5),
         ]
 
+    def test_alt2_matches_all_pairs(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            r = rng.randint(3, 8)
+            ivs = [(i, i + rng.randint(0, 5)) for i in (rng.randint(-5, 5) for _ in range(r))]
+            breaks = [1, *sorted(rng.sample(range(2, r), rng.randint(1, r - 2))), r]
+            expected = [
+                (s, rm, l)
+                for rm in breaks[1:-1]
+                for s in range(1, rm)
+                for l in range(rm + 1, r + 1)
+                if overlaps(Interval(*ivs[s - 1]), Interval(*ivs[l - 1]))
+            ]
+            assert [p.positions for p in diagnose(ivs, breaks, 6) if p.code == "alt2"] == expected
+
+    def test_overlap_tested_only_from_lower_endpoints(self, monkeypatch):
+        # a pair is tested only when one lower endpoint lies in the other's (i, j],
+        # and the disjoint zigzag has no such pair: no all-pairs test
+        calls = []
+        real = snakes_module.overlaps
+        monkeypatch.setattr(snakes_module, "overlaps", lambda a, b: calls.append(1) or real(a, b))
+        s = zigzag(400)
+        assert diagnose(s.intervals, s.breaks, s.n) == []
+        assert len(calls) <= s.r
+
     def test_build_raises_with_diagnostics(self):
         with pytest.raises(InvalidSnakeError) as exc:
             AlternatingSnake.build([[0, 2], [0, 2]], [1, 2], 2)
