@@ -34,10 +34,8 @@ EXIT_INTERNAL = 4
 CHARACTER_MAX_STEPS = 400_000
 
 
-class InputError(Exception):
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details or {}
+class InputError(ValueError):
+    """Input the CLI cannot read or use; reported like every other ValueError."""
 
 
 def _read_json(path: str):
@@ -250,9 +248,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        _fail({"error": "invalid-input", "message": str(exc), **exc.details})
-        return EXIT_INPUT
     except InvalidSnakeError as exc:
         _fail(
             {

@@ -57,6 +57,8 @@ class SnakeMatrix:
 
     def entry(self, p: int, l: int) -> Interval | None:
         """The interval label at 1-based (row, column), or None for a zero."""
+        if not (1 <= p <= self.size and 1 <= l <= self.size):
+            raise IndexError(f"entry ({p}, {l}) out of range 1..{self.size}")
         return dict(self.rows[p - 1]).get(l)
 
     def pattern(self) -> tuple[tuple[bool, ...], ...]:
@@ -273,7 +275,14 @@ def det_laplace(
     rows: tuple[int, ...] | None = None,
     cols: tuple[int, ...] | None = None,
 ) -> RingElement:
-    """Cofactor expansion along the sparsest line, memoized on index pairs."""
+    """Cofactor expansion column by column, merged on the rows used.
+
+    One sweep over ``cols`` in order keeps the value of each partial
+    expansion under the bitmask of the row positions it used.  The row at
+    position x takes the cofactor sign (-1)^k, k the free positions below x,
+    and a state is dropped when it is zero or misses a row whose last
+    nonzero column has passed.
+    """
     n = m.snake.n
     all_idx = tuple(range(1, m.size + 1))
     rows = all_idx if rows is None else tuple(rows)
@@ -282,39 +291,28 @@ def det_laplace(
         raise ValueError("row and column sets must have equal size")
     if any(len(set(idx)) != len(idx) or not set(idx) <= set(all_idx) for idx in (rows, cols)):
         raise ValueError(f"rows and columns must be distinct indices in 1..{m.size}")
-    memo = {((), ()): RingElement.one(n)}
-    # a minor is pushed bare, then again with its line once its own minors are queued
-    stack: list = [((rows, cols), None)]
-    while stack:
-        key, line = stack.pop()
-        if key in memo:
-            continue
-        if line is None:
-            line = _cofactor_line(m, *key)
-            stack.append((key, line))
-            stack.extend((minor, None) for _, _, minor in line if minor not in memo)
-            continue
-        terms = []
-        for even, iv, minor in line:
-            for g, d in fundamental_class(iv, n).terms:
-                terms.extend((g * w, d * c if even else -d * c) for w, c in memo[minor].terms)
-        memo[key] = RingElement.from_terms(n, terms)
-    return memo[(rows, cols)]
-
-
-def _cofactor_line(m: SnakeMatrix, rs: tuple[int, ...], cs: tuple[int, ...]) -> list:
-    """(even sign, label, minor) for each nonzero entry of the sparsest line of (rs, cs)."""
-    rpos = {p: k for k, p in enumerate(rs)}
-    cpos = {l: k for k, l in enumerate(cs)}
-    row_lines = [[(cpos[l], iv) for l, iv in m.rows[p - 1] if l in cpos] for p in rs]
-    col_lines = [[(rpos[p], iv) for p, iv in m.cols[l - 1] if p in rpos] for l in cs]
-    br = min(range(len(rs)), key=lambda k: len(row_lines[k]))
-    bc = min(range(len(cs)), key=lambda k: len(col_lines[k]))
-    if len(row_lines[br]) <= len(col_lines[bc]):
-        rest = rs[:br] + rs[br + 1 :]
-        return [((br + ci) % 2 == 0, iv, (rest, cs[:ci] + cs[ci + 1 :])) for ci, iv in row_lines[br]]
-    rest = cs[:bc] + cs[bc + 1 :]
-    return [((ri + bc) % 2 == 0, iv, (rs[:ri] + rs[ri + 1 :], rest)) for ri, iv in col_lines[bc]]
+    pos = {p: x for x, p in enumerate(rows)}
+    lines = [
+        [(pos[p], fundamental_class(iv, n).terms) for p, iv in m.cols[l - 1] if p in pos]
+        for l in cols
+    ]
+    last = {x: b for b, line in enumerate(lines) for x, _ in line}
+    states = {0: RingElement.one(n)}
+    need = 0  # the rows whose last nonzero column has been swept
+    for b, line in enumerate(lines):
+        need |= sum(1 << x for x, _ in line if last[x] == b)
+        acc: dict[int, list] = {}
+        for used, val in states.items():
+            for x, label in line:
+                mask = used | 1 << x
+                if used >> x & 1 or mask & need != need:
+                    continue
+                odd = (x - (used & (1 << x) - 1).bit_count()) & 1
+                terms = acc.setdefault(mask, [])
+                for g, d in label:
+                    terms.extend((w * g, -c * d if odd else c * d) for w, c in val.terms)
+        states = {k: v for k, t in acc.items() if not (v := RingElement.from_terms(n, t)).is_zero}
+    return states.get((1 << len(rows)) - 1, RingElement.zero(n))
 
 
 @dataclass(frozen=True)

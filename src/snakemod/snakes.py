@@ -10,9 +10,10 @@ break vector.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 from .errors import InvalidSnakeError, UnsupportedSnakeError
@@ -108,20 +109,25 @@ def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
             out.append(
                 Diagnostic("alt1", (m, m + 1), f"runs {m} and {m + 1} do not alternate")
             )
-    # an overlapping pair is tested once, from the interval with the smaller
-    # lower endpoint: the other's lower endpoint lies in its (i, j].  A single
-    # run has no break for a pair to overlap across.
+    # a overlaps a later-starting b exactly when a.j lies in [b.i, b.j), so b bisects
+    # the (j, position) pairs of the intervals that start before it.  Intervals with
+    # equal lower endpoints never overlap, so a group of them joins the pairs only
+    # after all of it has been queried.  A single run has no break to overlap across.
     inner = bl[1:-1]
     order = sorted(range(1, r + 1), key=lambda p: ivs[p - 1].i) if inner else []
-    lows = [ivs[p - 1].i for p in order]
+    ends: list[tuple[int, int]] = []
     found = []
-    for p in order:
-        a = ivs[p - 1]
-        for q in order[bisect_right(lows, a.i) : bisect_right(lows, a.j)]:
-            if overlaps(a, ivs[q - 1]):
-                s, l = min(p, q), max(p, q)
-                between = inner[bisect_right(inner, s) : bisect_left(inner, l)]
-                found.extend((rm, s, l) for rm in between)
+    for _, group in groupby(order, key=lambda p: ivs[p - 1].i):
+        group = list(group)
+        for q in group:
+            b = ivs[q - 1]
+            for _, p in ends[bisect_left(ends, (b.i,)) : bisect_left(ends, (b.j,))]:
+                if overlaps(ivs[p - 1], b):
+                    s, l = min(p, q), max(p, q)
+                    between = inner[bisect_right(inner, s) : bisect_left(inner, l)]
+                    found.extend((rm, s, l) for rm in between)
+        for q in group:
+            insort(ends, (ivs[q - 1].j, q))
     out.extend(
         Diagnostic("alt2", (s, rm, l), f"intervals {s} and {l} overlap across break {rm}")
         for rm, s, l in sorted(found)
@@ -158,6 +164,8 @@ class AlternatingSnake:
 
     def interval(self, p: int) -> Interval:
         """The interval at 1-based position p."""
+        if not 1 <= p <= len(self.intervals):
+            raise IndexError(f"position {p} out of range 1..{len(self.intervals)}")
         return self.intervals[p - 1]
 
     @cached_property

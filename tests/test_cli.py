@@ -144,9 +144,10 @@ class TestDetFormula:
         assert len(report["terms"]) == 1
         assert report["sigma_count"] == 1
 
-    def test_long_disconnected_run_oracle(self, tmp_path, capsys):
-        # the cofactor expansion reads sparse lines, so it is quadratic here
-        r = 500
+    @pytest.mark.parametrize("r", [500, 2000])
+    def test_long_disconnected_run_oracle(self, tmp_path, capsys, r):
+        # the column sweep holds one state per column here; what stays quadratic is
+        # the products of monomials with up to r generators
         long_run = {"n": 3, "intervals": [[-3 * t, -3 * t + 1] for t in range(r)], "breaks": [1, r]}
         start = time.perf_counter()
         code, out, _ = run_cli(["det-formula", write(tmp_path, long_run), "--oracle"], capsys)

@@ -126,6 +126,12 @@ class TestMatrixPattern:
 
 
 class TestSparseMatrix:
+    @pytest.mark.parametrize("p, l", [(0, 1), (-1, 1), (3, 1), (1, 0), (1, 3)])
+    def test_entry_rejects_out_of_range(self, pair_snake, p, l):
+        # 0 and negative indices would otherwise wrap to the last row
+        with pytest.raises(IndexError, match=r"out of range 1\.\.2"):
+            snake_matrix(pair_snake).entry(p, l)
+
     def test_rows_cols_and_dense_view_agree(self):
         for s in corpus.stable_corpus(149, 60):
             m = snake_matrix(s)

@@ -85,14 +85,20 @@ class TestValidation:
             assert [p.positions for p in diagnose(ivs, breaks, 6) if p.code == "alt2"] == expected
 
     def test_overlap_tested_only_from_lower_endpoints(self, monkeypatch):
-        # a pair is tested only when one lower endpoint lies in the other's (i, j],
-        # and the disjoint zigzag has no such pair: no all-pairs test
+        # a pair is tested only when the later-starting interval's [i, j) holds the
+        # other's upper endpoint: neither the disjoint zigzag nor nested input has one
         calls = []
         real = snakes_module.overlaps
         monkeypatch.setattr(snakes_module, "overlaps", lambda a, b: calls.append(1) or real(a, b))
         s = zigzag(400)
         assert diagnose(s.intervals, s.breaks, s.n) == []
         assert len(calls) <= s.r
+        calls.clear()
+        r = 400
+        nested = [[-t, t] for t in range(1, r + 1)]
+        problems = diagnose(nested, list(range(1, r + 1)), 2 * r + 2)
+        assert problems and not any(p.code == "alt2" for p in problems)
+        assert len(calls) <= r
 
     def test_build_raises_with_diagnostics(self):
         with pytest.raises(InvalidSnakeError) as exc:
@@ -122,6 +128,12 @@ class TestSegments:
     def test_out_of_range(self, example_one):
         with pytest.raises(IndexError):
             example_one.segment(2, 1)
+
+    @pytest.mark.parametrize("p", [0, -1, 5])
+    def test_interval_rejects_out_of_range(self, example_one, p):
+        # 0 and negative positions would otherwise wrap to the last interval
+        with pytest.raises(IndexError, match=r"out of range 1\.\.4"):
+            example_one.interval(p)
 
     def test_random_segments_validate(self):
         snakes = corpus.stable_corpus(17, 40)
