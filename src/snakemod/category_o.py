@@ -56,6 +56,15 @@ class KLTable:
         return dict(self.rows)
 
 
+def nu_key(ivs: tuple[Interval, ...]) -> tuple[int, ...]:
+    """The nu + rho row of an assignment's labels.
+
+    Every assignment uses each upper endpoint once, so sorting its labels as
+    the snake's intervals are sorted pairs them with lambda.
+    """
+    return tuple(iv.i for iv in sorted(ivs, key=lambda iv: (-iv.j, iv.i)))
+
+
 def kl_table(s: AlternatingSnake) -> KLTable:
     """Verma coefficients of the irreducible with highest weight mu.
 
@@ -72,11 +81,5 @@ def kl_table(s: AlternatingSnake) -> KLTable:
             "must be a valid interval"
         )
     lam, mu, _ = highest_weight_pair(s)
-
-    def nu_key(ivs: tuple[Interval, ...]) -> tuple[int, ...]:
-        # every assignment uses each upper endpoint once, so sorting its
-        # labels as the snake's intervals are sorted pairs them with lambda
-        return tuple(iv.i for iv in sorted(ivs, key=lambda iv: (-iv.j, iv.i)))
-
     sums, _ = signed_sum(snake_matrix(s), nu_key)
     return KLTable(mu, lam, tuple(sorted(sums.items())))

@@ -215,23 +215,22 @@ def walk(depth: int, children: Callable[[list], Iterable]) -> Iterator[tuple]:
             stack.append(iter(children(prefix)))
 
 
-def _assignments(m: SnakeMatrix) -> Iterator[tuple]:
-    """The nonzero assignments as walks of (index, label, used mask, sign) choices.
+def _slots(m: SnakeMatrix) -> tuple[tuple[tuple[int, Interval], ...], ...]:
+    """The candidates of each slot of an assignment, per the first-run convention.
 
     For a descending first run slot l holds the row paired with column l;
-    for an ascending first run, the column paired with row p.  The sign of
-    the last choice is the assignment's sign: placing x flips it once per
-    larger index already used.
+    for an ascending first run, the column paired with row l.
     """
-    cand = m.cols if m.snake.first_direction() == LEFT else m.rows
+    return m.cols if m.snake.first_direction() == LEFT else m.rows
+
+
+def _assignments(m: SnakeMatrix) -> Iterator[tuple]:
+    """The nonzero assignments as walks of (index, used mask) choices, slot by slot."""
+    cand = _slots(m)
 
     def children(prefix: list) -> list:
-        used, sign = prefix[-1][2:] if prefix else (0, 1)
-        return [
-            (x, iv, used | 1 << x, -sign if (used >> x).bit_count() & 1 else sign)
-            for x, iv in cand[len(prefix)]
-            if not used >> x & 1
-        ]
+        used = prefix[-1][1] if prefix else 0
+        return [(x, used | 1 << x) for x, _ in cand[len(prefix)] if not used >> x & 1]
 
     return walk(m.size, children)
 
@@ -244,18 +243,94 @@ def nonzero_permutations(m: SnakeMatrix) -> list[tuple[int, ...]]:
     return [tuple(c[0] for c in leaf) for leaf in _assignments(m)]
 
 
+def _blocks(m: SnakeMatrix) -> Iterator[tuple[int, tuple]]:
+    """The slots cut into the matrix's diagonal blocks.
+
+    A block ends at the first slot b where no slot since the last cut has a
+    candidate past b.  Yields each block's slots after the number of slots
+    before it, whose indices they use up.
+    """
+    cand = _slots(m)
+    start = hi = 0
+    for b, line in enumerate(cand, 1):
+        hi = max(hi, line[-1][0]) if line else hi
+        if hi <= b:
+            yield start, cand[start:b]
+            start = b
+
+
+def _sweep(start: int, block: tuple, labelled: bool) -> tuple[dict, int]:
+    """One sweep over a block's slots, merged on the indices used.
+
+    Each bitmask of used indices keeps its assignments' count and, when
+    ``labelled``, their signed sum per sorted tuple of labels.  Indices
+    1..start, which the earlier blocks take, start out used.  Placing x
+    flips the sign once per larger index already used; a mask is dropped
+    when it misses an index whose last candidate slot has passed, and a
+    label tuple when its sum is zero.
+    """
+    # most blocks of small or disconnected snakes are one slot: index start + 1, or none
+    if len(block) == 1:
+        labels = [(iv,) for x, iv in block[0] if x > start]
+        return dict.fromkeys(labels, 1), len(labels)
+    last = {x: b for b, line in enumerate(block) for x, _ in line}
+    passed = [0] * len(block)  # per slot, the indices whose last candidate it is
+    for x, b in last.items():
+        passed[b] |= 1 << x
+    states: dict[int, list] = {(1 << start + 1) - 2: [{(): 1}, 1]}
+    need = 0
+    for line, done in zip(block, passed):
+        need |= done
+        nxt: dict[int, list] = {}
+        for used, (terms, count) in states.items():
+            for x, iv in line:
+                mask = used | 1 << x
+                if mask == used or mask & need != need:
+                    continue
+                slot = nxt.get(mask)
+                if slot is None:
+                    slot = nxt[mask] = [{}, 0]
+                slot[1] += count
+                if labelled:
+                    acc, odd = slot[0], (used >> x).bit_count() & 1
+                    for labels, c in terms.items():
+                        k = bisect_left(labels, iv)
+                        t = (*labels[:k], iv, *labels[k:])
+                        c = acc.get(t, 0) + (-c if odd else c)
+                        if c:
+                            acc[t] = c
+                        else:
+                            del acc[t]
+        states = nxt
+    terms, count = states.get((1 << start + len(block) + 1) - 2, ({}, 0))
+    return terms, count
+
+
+def assignment_count(m: SnakeMatrix) -> int:
+    """The number of nonzero assignments, from the sweep's label-free pass."""
+    count = 1
+    for start, block in _blocks(m):
+        count *= _sweep(start, block, False)[1]
+    return count
+
+
 def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) -> tuple[dict, int]:
     """Signs of the nonzero assignments summed under ``key`` of their labels.
 
+    ``key`` must depend on the label multiset only: it sees each surviving
+    multiset once, as the concatenation of the blocks' sorted tuples.
     Returns the nonzero sums and the number of assignments.
     """
+    parts: list[tuple[tuple[Interval, ...], int]] = [((), 1)]
+    count = 1
+    for start, block in _blocks(m):
+        terms, c = _sweep(start, block, True)
+        count *= c
+        parts = [(a + t, x * y) for a, x in parts for t, y in terms.items()]
     acc: dict = {}
-    count = 0
-    for leaf in _assignments(m):
-        _, labels, _, signs = zip(*leaf)
+    for labels, c in parts:
         k = key(labels)
-        acc[k] = acc.get(k, 0) + signs[-1]
-        count += 1
+        acc[k] = acc.get(k, 0) + c
     return {k: c for k, c in acc.items() if c}, count
 
 

@@ -5,7 +5,15 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from snakemod import LEFT, RIGHT, AlternatingSnake, InvalidSnakeError, enumerate_paths
+from snakemod import (
+    LEFT,
+    RIGHT,
+    AlternatingSnake,
+    InvalidSnakeError,
+    enumerate_paths,
+    nonzero_permutations,
+    permutation_sign,
+)
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 
 MAX_TRIES = 2000
@@ -50,6 +58,25 @@ def stacked_tuples(s: AlternatingSnake) -> list[tuple]:
         if all(x > y for a, b in zip(tup, tup[1:]) for x, y in zip(a.values, b.values))
     ]
     return [tup[::-1] for tup in kept] if flipped else kept
+
+
+def walked_signed_sum(m, key) -> tuple[dict, int]:
+    """``signed_sum`` by walking every nonzero assignment.
+
+    The oracle for the column sweep: each assignment's labels are looked up
+    cell by cell and its sign is ``permutation_sign`` of the indices, so no
+    parity or merging is shared with the sweep.
+    """
+    cells = {(p, l): iv for p, row in enumerate(m.rows, 1) for l, iv in row}
+    left = m.snake.first_direction() == LEFT
+    acc: dict = {}
+    count = 0
+    for sigma in nonzero_permutations(m):
+        pairs = [(x, slot) if left else (slot, x) for slot, x in enumerate(sigma, 1)]
+        k = key(tuple(cells[pair] for pair in pairs))
+        acc[k] = acc.get(k, 0) + permutation_sign(sigma)
+        count += 1
+    return {k: c for k, c in acc.items() if c}, count
 
 
 def _left_run(s: AlternatingSnake) -> tuple[tuple, bool]:
@@ -206,6 +233,28 @@ def random_nested(rng: random.Random, k_max: int = 3, n_cap: int | None = None):
             continue
         return snake, n_min
     raise RuntimeError("nested generator starved")
+
+
+def staircase(r: int) -> AlternatingSnake:
+    """The mu-lambda staircase mu = 0, 0, 1, 1, ..., lambda = r, r - 1, r - 1, ...
+
+    Fully broken and stable, with 2^(r-1) nonzero assignments that cancel
+    to a few percent of terms.
+    """
+    return snake_from_mu_lambda([t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r)
+
+
+def connected_run(r: int) -> AlternatingSnake:
+    """[[-t, -t + 1]] at n = 1: a tridiagonal matrix, Fib(r + 1) assignments, none cancelling."""
+    return AlternatingSnake.single_run([(-t, -t + 1) for t in range(r)], 1)
+
+
+def pair_chain(r: int) -> AlternatingSnake:
+    """r/2 connected pairs in one descending run at n = 3, cut between pairs."""
+    ivs: list[tuple[int, int]] = []
+    for a in range(0, -5 * (r // 2), -5):
+        ivs += [(a, a + 3), (a - 1, a + 2)]
+    return AlternatingSnake.single_run(ivs, 3)
 
 
 def stable_corpus(seed: int, count: int, n_cap: int = 8, r_cap: int = 7) -> list[AlternatingSnake]:

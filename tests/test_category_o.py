@@ -10,7 +10,6 @@ from snakemod import (
     highest_weight_pair,
     is_dominant_vector,
     kl_table,
-    snake_from_mu_lambda,
     sorting_permutation,
 )
 
@@ -96,12 +95,13 @@ class TestKLTable:
             table = kl_table(s)
             assert set(table.as_dict().values()) <= {-1, 1}
 
-    @pytest.mark.parametrize("r, rows", [(8, 24), (10, 72), (12, 200), (14, 584)])
+    @pytest.mark.parametrize(
+        "r, rows", [(8, 24), (10, 72), (12, 200), (14, 584), (16, 1672), (20, 13832)]
+    )
     def test_staircase_coefficients_are_units(self, r, rows):
         # the paper's headline: for mu + rho neither dominant nor regular the
         # nonzero coefficients are still +-1; the staircase repeats every value
-        s = snake_from_mu_lambda([t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r)
-        table = kl_table(s)
+        table = kl_table(corpus.staircase(r))
         assert not is_dominant_vector(table.mu_plus_rho)
         assert len(set(table.mu_plus_rho)) < r
         assert len(table.rows) == rows

@@ -158,6 +158,39 @@ class TestDetFormula:
         assert len(report["terms"]) == 1
 
 
+class TestExpansionGuard:
+    @pytest.mark.parametrize("command", ["det-formula", "kl"])
+    @pytest.mark.parametrize(
+        "r, count",
+        [
+            (23, "46368"),  # Fib(24) assignments of 23 labels: 1,066,464 steps
+            (1100, "55706633420031512130333709644074735607824170570811374472759926382667"),
+        ],
+    )
+    def test_connected_run_refused(self, tmp_path, capsys, command, r, count):
+        # a tridiagonal matrix: Fibonacci-many assignments, none cancelling
+        path = write(tmp_path, corpus.connected_run(r).to_json())
+        start = time.perf_counter()
+        code, out, err = run_cli([command, path], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        assert f"sum {count}" in report["message"]
+
+    def test_staircase_answered(self, tmp_path, capsys):
+        # 2^15 assignments of 16 labels, 524,288 steps, cancel to 1,672 terms
+        s = corpus.staircase(16).to_json()
+        code, out, _ = run_cli(["det-formula", write(tmp_path, s)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["sigma_count"], len(report["terms"])) == (2**15, 1672)
+        code, out, _ = run_cli(["kl", write(tmp_path, s)], capsys)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 1672
+
+
 class TestDecompose:
     def test_two_factors(self, tmp_path, capsys):
         code, out, _ = run_cli(["decompose", write(tmp_path, TWO_FACTOR)], capsys)
@@ -373,11 +406,21 @@ JUNK = st.one_of(
 RANK = st.integers(1, 4) | st.integers(1, 10**6)
 
 
+def one_in(draw, k: int) -> bool:
+    return draw(st.integers(1, k)) == 1
+
+
 @st.composite
 def snake_data(draw):
-    """Snake-shaped JSON, r <= 8: a valid snake or drawn intervals, then spoiled."""
-    if draw(st.booleans()):
+    """Snake-shaped JSON, r <= 8: mostly a valid snake, else drawn intervals.
+
+    One in four draws re-ranks it and one in six spoils it, so most calls
+    reach a computation and every rejection path is still drawn.
+    """
+    if not one_in(draw, 4):
         data = copy.deepcopy(draw(st.sampled_from(SNAKES)))
+        shift = draw(st.integers(-50, 50))  # a translate is as valid, and a new input
+        data["intervals"] = [[i + shift, j + shift] for i, j in data["intervals"]]
     else:
         r = draw(st.integers(1, 8))
         lows = draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r))
@@ -387,9 +430,12 @@ def snake_data(draw):
             "intervals": [[i, i + draw(st.integers(0, 4))] for i in lows],
             "breaks": sorted({1, r, *inner}),
         }
-    if draw(st.booleans()):
+    if one_in(draw, 4):
         data["n"] = draw(RANK)
-    spoil = draw(st.sets(st.sampled_from(["n", "endpoint", "break", "intervals"]), max_size=2))
+    spoil = set()
+    if one_in(draw, 6):
+        fields = st.sampled_from(["n", "endpoint", "break", "intervals"])
+        spoil = draw(st.sets(fields, min_size=1, max_size=2))
     if "n" in spoil:
         data["n"] = draw(JUNK)
     if "endpoint" in spoil:
@@ -411,9 +457,16 @@ GEN_PARAMS = [
 
 @st.composite
 def gen_params(draw):
-    """Valid family parameters with up to two values replaced or dropped."""
+    """Valid family parameters, translated; one in six has one or two values replaced or dropped."""
     params = copy.deepcopy(draw(st.sampled_from(GEN_PARAMS)))
-    for key in draw(st.sets(st.sampled_from(sorted(params)), max_size=2) | st.just(set())):
+    shift = draw(st.integers(-50, 50))
+    for key in ("mu", "lambda", "lows", "highs"):
+        if key in params:
+            params[key] = [x + shift for x in params[key]]
+    spoil = set()
+    if one_in(draw, 6):
+        spoil = draw(st.sets(st.sampled_from(sorted(params)), min_size=1, max_size=2))
+    for key in spoil:
         if draw(st.integers(0, 4)) == 0:
             del params[key]
         elif key == "family":
@@ -433,7 +486,7 @@ def cli_calls(draw):
     argv = [command, "-"]
     if command == "det-formula" and draw(st.booleans()):
         argv.append("--oracle")
-    if draw(st.integers(0, 3)) == 0:
+    if one_in(draw, 6):
         argv += ["--n", str(draw(RANK))]
     return argv, draw(snake_data())
 
@@ -451,6 +504,7 @@ class TestContract:
     @example((["character", "-"], {"n": 4000, "intervals": [[0, 1]], "breaks": [1]}))
     @example((["character", "-"], {"n": 700, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}))
     @example((["gen", "-"], {"family": "nested", "breaks": [], "lows": [1, 0], "highs": [3, 2]}))
+    @example((["kl", "-"], corpus.connected_run(40).to_json()))
     def test_exit_codes_and_determinism(self, call):
         argv, data = call
         text = json.dumps(data)

@@ -24,13 +24,13 @@ from snakemod import (
     minor_identity_holds,
     nonzero_permutations,
     permutation_sign,
-    snake_from_mu_lambda,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
     weyl_class,
 )
-from snakemod.determinant import _exact, det_dimension
+from snakemod.category_o import nu_key
+from snakemod.determinant import _exact, _label_weight, assignment_count, det_dimension, signed_sum
 from snakemod.lweight import LWeight
 from snakemod.paths import snake_dimension
 
@@ -156,10 +156,7 @@ class TestSparseMatrix:
         dense = SnakeMatrix.entries
         counted = property(lambda m: reads.append(m) or dense.fget(m))
         monkeypatch.setattr(SnakeMatrix, "entries", counted)
-        r = 8
-        staircase = snake_from_mu_lambda(
-            [t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r
-        )
+        staircase = corpus.staircase(8)
         split = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(200)], 3)
         connected = AlternatingSnake.single_run([(-t, -t + 1) for t in range(1100)], 1)
         for s in (staircase, split):
@@ -199,15 +196,14 @@ class TestSigma:
         assert sigmas == [tuple(range(1, r + 1))]
 
     def test_signed_sums_recompute_no_sign(self, monkeypatch):
-        # each assignment's sign is carried along the walk that finds it
+        # the sweep carries each sign as the parity of its placements
         calls = []
         original = determinant.permutation_sign
         monkeypatch.setattr(
             determinant, "permutation_sign", lambda perm: calls.append(perm) or original(perm)
         )
-        # the mu-lambda staircase mu = 0, 0, 1, 1, ..., lambda = 12, 11, 11, ...
         r = 12
-        s = snake_from_mu_lambda([t // 2 for t in range(r)], [r - (t + 1) // 2 for t in range(r)], r)
+        s = corpus.staircase(r)
         assert standard_expansion(s).sigma_count == 2 ** (r - 1)
         assert kl_table(s).rows
         assert calls == []
@@ -241,6 +237,63 @@ class TestSigma:
                 if ok:
                     brute.append(sigma)
             assert sorted(nonzero_permutations(m)) == brute
+
+
+class TestSweep:
+    @staticmethod
+    def assert_matches_walk(snakes):
+        for s in snakes:
+            m = snake_matrix(s)
+            for key in (_label_weight(m), nu_key):
+                sums, count = signed_sum(m, key)
+                assert (sums, count) == corpus.walked_signed_sum(m, key), str(s)
+            assert assignment_count(m) == count, str(s)
+
+    def test_corpora(self):
+        self.assert_matches_walk(
+            corpus.stable_corpus(0, 300)
+            + corpus.prime_stable_corpus(137, 80)
+            + corpus.nonprime_stable_corpus(1, 150)
+        )
+
+    def test_staircase_rungs(self):
+        self.assert_matches_walk(corpus.staircase(r) for r in range(8, 17))
+
+    def test_pair_chains(self):
+        # block-diagonal and nothing cancels: 2^(r/2) terms
+        self.assert_matches_walk(corpus.pair_chain(r) for r in (16, 24))
+        assert len(signed_sum(snake_matrix(corpus.pair_chain(24)), nu_key)[0]) == 2**12
+
+    def test_connected_runs(self):
+        self.assert_matches_walk(corpus.connected_run(r) for r in range(1, 17))
+
+    def test_count_is_not_the_factors_product(self):
+        # the staircase's prime factors do not split its matrix
+        s = corpus.staircase(16)
+        assert assignment_count(snake_matrix(s)) == 2**15
+        factors = [assignment_count(snake_matrix(f)) for f in s.prime_factors()]
+        assert factors[0] * factors[1] * factors[2] == 2**13
+
+    def test_long_disconnected_run_is_one_term(self):
+        r = 1000
+        s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
+        sums, count = signed_sum(snake_matrix(s), nu_key)
+        assert count == 1
+        assert sums == {tuple(-3 * t for t in range(r)): 1}
+
+    def test_expansions_walk_no_assignments(self, monkeypatch):
+        calls = []
+        for name in ("_assignments", "walk"):
+            real = getattr(determinant, name)
+            monkeypatch.setattr(
+                determinant, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        s = corpus.staircase(16)
+        e, table = standard_expansion(s), kl_table(s)
+        assert (len(e.terms), e.sigma_count, len(table.rows)) == (1672, 2**15, 1672)
+        assert calls == []
+        nonzero_permutations(snake_matrix(corpus.staircase(4)))
+        assert calls == ["_assignments", "walk"]
 
 
 class TestDeterminants:
