@@ -14,7 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from itertools import chain, product
+from math import comb, prod
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -22,6 +23,9 @@ from .intervals import Interval, is_connected_pair
 from .lweight import LWeight, leq
 from .ring import RingElement, fundamental_class
 from .snakes import LEFT, RIGHT, AlternatingSnake
+
+# signed_sum's time and memory follow its steps, not the assignment count
+DET_MAX_STEPS = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -259,30 +263,35 @@ def _blocks(m: SnakeMatrix) -> Iterator[tuple[int, tuple]]:
             start = b
 
 
-def _sweep(start: int, block: tuple, labelled: bool) -> tuple[dict, int]:
+def _over_budget() -> UnsupportedSnakeError:
+    return UnsupportedSnakeError(
+        f"the signed sum would take more than {DET_MAX_STEPS} steps "
+        "(candidates tried plus labels written or keyed)"
+    )
+
+
+def _sweep(start: int, block: tuple, budget: int) -> tuple[dict, int, int]:
     """One sweep over a block's slots, merged on the indices used.
 
-    Each bitmask of used indices keeps its assignments' count and, when
-    ``labelled``, their signed sum per sorted tuple of labels.  Indices
-    1..start, which the earlier blocks take, start out used.  Placing x
-    flips the sign once per larger index already used; a mask is dropped
-    when it misses an index whose last candidate slot has passed, and a
-    label tuple when its sum is zero.
+    Each bitmask of used indices keeps its assignments' count and their
+    signed sum per sorted tuple of labels.  Indices 1..start, which the
+    earlier blocks take, start out used.  Placing x flips the sign once per
+    larger index already used; a mask is dropped when it misses an index
+    whose last candidate slot has passed, and a label tuple when its sum is
+    zero.  Returns the sums, the count and the steps taken (candidates tried
+    plus labels written), refusing once they pass ``budget``.
     """
-    # most blocks of small or disconnected snakes are one slot: index start + 1, or none
-    if len(block) == 1:
-        labels = [(iv,) for x, iv in block[0] if x > start]
-        return dict.fromkeys(labels, 1), len(labels)
     last = {x: b for b, line in enumerate(block) for x, _ in line}
     passed = [0] * len(block)  # per slot, the indices whose last candidate it is
     for x, b in last.items():
         passed[b] |= 1 << x
     states: dict[int, list] = {(1 << start + 1) - 2: [{(): 1}, 1]}
-    need = 0
-    for line, done in zip(block, passed):
+    need = steps = 0
+    for size, (line, done) in enumerate(zip(block, passed), 1):
         need |= done
         nxt: dict[int, list] = {}
         for used, (terms, count) in states.items():
+            steps += len(line)
             for x, iv in line:
                 mask = used | 1 << x
                 if mask == used or mask & need != need:
@@ -291,46 +300,47 @@ def _sweep(start: int, block: tuple, labelled: bool) -> tuple[dict, int]:
                 if slot is None:
                     slot = nxt[mask] = [{}, 0]
                 slot[1] += count
-                if labelled:
-                    acc, odd = slot[0], (used >> x).bit_count() & 1
-                    for labels, c in terms.items():
-                        k = bisect_left(labels, iv)
-                        t = (*labels[:k], iv, *labels[k:])
-                        c = acc.get(t, 0) + (-c if odd else c)
-                        if c:
-                            acc[t] = c
-                        else:
-                            del acc[t]
+                steps += len(terms) * size
+                if steps > budget:
+                    raise _over_budget()
+                acc, odd = slot[0], (used >> x).bit_count() & 1
+                for labels, c in terms.items():
+                    k = bisect_left(labels, iv)
+                    t = (*labels[:k], iv, *labels[k:])
+                    c = acc.get(t, 0) + (-c if odd else c)
+                    if c:
+                        acc[t] = c
+                    else:
+                        del acc[t]
         states = nxt
     terms, count = states.get((1 << start + len(block) + 1) - 2, ({}, 0))
-    return terms, count
-
-
-def assignment_count(m: SnakeMatrix) -> int:
-    """The number of nonzero assignments, from the sweep's label-free pass."""
-    count = 1
-    for start, block in _blocks(m):
-        count *= _sweep(start, block, False)[1]
-    return count
+    return terms, count, steps
 
 
 def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) -> tuple[dict, int]:
     """Signs of the nonzero assignments summed under ``key`` of their labels.
 
     ``key`` must depend on the label multiset only: it sees each surviving
-    multiset once, as the concatenation of the blocks' sorted tuples.
-    Returns the nonzero sums and the number of assignments.
+    multiset once, as the concatenation of one sorted tuple per block.
+    Returns the nonzero sums and the number of assignments.  Refuses with
+    UnsupportedSnakeError when the sweeps and the labels handed to ``key``
+    come to more than DET_MAX_STEPS steps.
     """
-    parts: list[tuple[tuple[Interval, ...], int]] = [((), 1)]
-    count = 1
+    labels: list[list[tuple[Interval, ...]]] = []
+    coeffs: list[list[int]] = []
+    count, steps = 1, 0
     for start, block in _blocks(m):
-        terms, c = _sweep(start, block, True)
+        terms, c, taken = _sweep(start, block, DET_MAX_STEPS - steps)
+        labels.append(list(terms))
+        coeffs.append(list(terms.values()))
         count *= c
-        parts = [(a + t, x * y) for a, x in parts for t, y in terms.items()]
+        steps += taken
+    if steps + prod(map(len, labels)) * m.size > DET_MAX_STEPS:
+        raise _over_budget()
     acc: dict = {}
-    for labels, c in parts:
-        k = key(labels)
-        acc[k] = acc.get(k, 0) + c
+    for parts, cs in zip(product(*labels), product(*coeffs)):
+        k = key(tuple(chain.from_iterable(parts)))
+        acc[k] = acc.get(k, 0) + prod(cs)
     return {k: c for k, c in acc.items() if c}, count
 
 

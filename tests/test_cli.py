@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import corpus
 import snakemod
 from snakemod.cli import main
+from snakemod.determinant import DET_MAX_STEPS
 
 EXAMPLE_ONE = {
     "n": 5,
@@ -158,17 +159,15 @@ class TestDetFormula:
         assert len(report["terms"]) == 1
 
 
+DENSE_RUN = [[-t, -t + 30] for t in range(30)]  # a dense 30 x 30 block at n = 61
+
+
 class TestExpansionGuard:
     @pytest.mark.parametrize("command", ["det-formula", "kl"])
-    @pytest.mark.parametrize(
-        "r, count",
-        [
-            (23, "46368"),  # Fib(24) assignments of 23 labels: 1,066,464 steps
-            (1100, "55706633420031512130333709644074735607824170570811374472759926382667"),
-        ],
-    )
-    def test_connected_run_refused(self, tmp_path, capsys, command, r, count):
-        # a tridiagonal matrix: Fibonacci-many assignments, none cancelling
+    @pytest.mark.parametrize("r", [23, 1100])
+    def test_connected_run_refused(self, tmp_path, capsys, command, r):
+        # a tridiagonal matrix: Fibonacci-many assignments, none cancelling;
+        # det-formula stops in the sweep, kl at its rank check
         path = write(tmp_path, corpus.connected_run(r).to_json())
         start = time.perf_counter()
         code, out, err = run_cli([command, path], capsys)
@@ -177,18 +176,42 @@ class TestExpansionGuard:
         assert out == ""
         report = json.loads(err)
         assert report["error"] == "refused"
-        assert f"sum {count}" in report["message"]
+        if command == "det-formula":
+            assert f"more than {DET_MAX_STEPS} steps" in report["message"]
+
+    @pytest.mark.parametrize(
+        "command, data, reason",
+        [
+            # unstable: the second run starts below the first run's last lower endpoint
+            ("det-formula", {"n": 61, "intervals": DENSE_RUN + [[-28, 30]], "breaks": [1, 30, 31]}, "not stable"),
+            # stable, with a far interval no pairing reaches
+            ("kl", {"n": 61, "intervals": DENSE_RUN + [[-1000, -970]], "breaks": [1, 31]}, "rank too small"),
+        ],
+    )
+    def test_out_of_scope_dense_block_refused_first(self, tmp_path, capsys, command, data, reason):
+        start = time.perf_counter()
+        code, _, err = run_cli([command, write(tmp_path, data)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert reason in json.loads(err)["message"]
+
+    def test_dense_block_refused_within_budget(self, tmp_path, capsys):
+        # stable and in scope, but 2^30 index sets: the sweep stops at its budget
+        data = {"n": 61, "intervals": DENSE_RUN, "breaks": [1, 30]}
+        code, _, err = run_cli(["det-formula", write(tmp_path, data)], capsys)
+        assert code == 3
+        assert f"more than {DET_MAX_STEPS} steps" in json.loads(err)["message"]
 
     def test_staircase_answered(self, tmp_path, capsys):
-        # 2^15 assignments of 16 labels, 524,288 steps, cancel to 1,672 terms
-        s = corpus.staircase(16).to_json()
+        # 2^16 assignments, 17 labels each, cancel to 2,840 terms within the budget
+        s = corpus.staircase(17).to_json()
         code, out, _ = run_cli(["det-formula", write(tmp_path, s)], capsys)
         assert code == 0
         report = json.loads(out)
-        assert (report["sigma_count"], len(report["terms"])) == (2**15, 1672)
+        assert (report["sigma_count"], len(report["terms"])) == (2**16, 2840)
         code, out, _ = run_cli(["kl", write(tmp_path, s)], capsys)
         assert code == 0
-        assert len(json.loads(out)["rows"]) == 1672
+        assert len(json.loads(out)["rows"]) == 2840
 
 
 class TestDecompose:
@@ -505,6 +528,7 @@ class TestContract:
     @example((["character", "-"], {"n": 700, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}))
     @example((["gen", "-"], {"family": "nested", "breaks": [], "lows": [1, 0], "highs": [3, 2]}))
     @example((["kl", "-"], corpus.connected_run(40).to_json()))
+    @example((["det-formula", "-"], corpus.connected_run(40).to_json()))
     def test_exit_codes_and_determinism(self, call):
         argv, data = call
         text = json.dumps(data)
