@@ -70,6 +70,12 @@ def kl_table(s: AlternatingSnake) -> KLTable:
 
     Requires a stable snake whose rank is large enough that every pairing
     [i_p, j_l] is a valid interval; refuses otherwise.
+
+    Where lambda + rho has tied entries (equal upper endpoints), a row is
+    the sum of the coefficients over the orbit of the tied positions, placed
+    on the representative ``nu_key`` gives (lower endpoints increasing
+    within a tie).  Category O need not have its multiplicity at that
+    representative.
     """
     if not s.is_stable():
         raise UnsupportedSnakeError(f"{s} is not stable; no coefficient formula applies")

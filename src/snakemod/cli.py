@@ -13,13 +13,7 @@ import sys
 
 from . import __version__
 from .determinant import det_laplace, snake_matrix, standard_expansion
-from .errors import (
-    FamilyConstraintError,
-    InternalCheckError,
-    InvalidSnakeError,
-    MalformedIntervalError,
-    UnsupportedSnakeError,
-)
+from .errors import InternalCheckError, InvalidSnakeError, UnsupportedSnakeError
 from .families import nested_prime_snake, snake_from_mu_lambda
 from .category_o import kl_table
 from .paths import ell_weights, snake_dimension
@@ -158,7 +152,7 @@ def cmd_character(args) -> int:
             f"character would enumerate {dim} path tuples of {steps} layers and down steps "
             f"each, {dim * steps} in all; the limit is {CHARACTER_MAX_STEPS}"
         )
-    weights = sorted(ell_weights(s), key=lambda w: w.sort_key())
+    weights = sorted(ell_weights(s))
     payload = {
         "snake": s.to_json(),
         "dim": dim,
@@ -260,7 +254,7 @@ def main(argv=None) -> int:
     except UnsupportedSnakeError as exc:
         _fail({"error": "refused", "message": str(exc)})
         return EXIT_REFUSED
-    except (MalformedIntervalError, FamilyConstraintError, ValueError) as exc:
+    except ValueError as exc:
         _fail({"error": "invalid-input", "message": str(exc)})
         return EXIT_INPUT
     except InternalCheckError as exc:

@@ -424,7 +424,7 @@ def standard_expansion(s: AlternatingSnake) -> StandardExpansion:
         raise UnsupportedSnakeError(f"{s} is not stable; the expansion is not defined")
     m = snake_matrix(s)
     sums, count = signed_sum(m, _label_weight(m))
-    terms = tuple(sorted(sums.items(), key=lambda t: t[0].sort_key()))
+    terms = tuple(sorted(sums.items()))
     return StandardExpansion(s, terms, count)
 
 

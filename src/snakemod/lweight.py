@@ -15,8 +15,7 @@ used throughout (``leq``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedIntervalError, RankMismatchError
 from .intervals import Interval, is_connected_pair
@@ -25,17 +24,16 @@ from .intervals import Interval, is_connected_pair
 def _normalize(pairs: Iterable[tuple[Interval, int]], n: int) -> tuple[tuple[Interval, int], ...]:
     acc: dict[Interval, int] = {}
     for iv, e in pairs:
-        if not iv.is_well_formed(n):
+        d = iv.j - iv.i
+        if 0 < d <= n:
+            acc[iv] = acc.get(iv, 0) + e
+        elif d != 0 and d != n + 1:
             raise MalformedIntervalError(iv, n)
-        if iv.is_boundary(n):
-            continue
-        acc[iv] = acc.get(iv, 0) + e
-    return tuple((iv, e) for iv, e in sorted(acc.items()) if e != 0)
+    return tuple((iv, e) for iv, e in sorted(acc.items()) if e)
 
 
-@dataclass(frozen=True)
-class LWeight:
-    """A normalized element of the rank-n weight group."""
+class LWeight(NamedTuple):
+    """A normalized element of the rank-n weight group; one rank's weights sort by ``gens``."""
 
     n: int
     gens: tuple[tuple[Interval, int], ...]
@@ -79,9 +77,6 @@ class LWeight:
     def mirrored(self) -> "LWeight":
         """The involution induced by [i, j] -> [-j, -i] on generators."""
         return LWeight.from_generators(((iv.mirrored(), e) for iv, e in self.gens), self.n)
-
-    def sort_key(self) -> tuple:
-        return tuple((iv.i, iv.j, e) for iv, e in self.gens)
 
     def to_json(self) -> dict:
         return {"n": self.n, "gens": [[iv.i, iv.j, e] for iv, e in self.gens]}
@@ -134,8 +129,7 @@ def rectangle_root_product(a: Interval, b: Interval, n: int) -> LWeight:
     return LWeight.from_generators(parts, n)
 
 
-@dataclass(frozen=True)
-class RootVector:
+class RootVector(NamedTuple):
     """An element of the free root monoid: nonnegative multiplicities."""
 
     n: int

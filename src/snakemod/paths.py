@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, count
 
 from .determinant import det_dimension, snake_matrix, walk
 from .errors import MalformedIntervalError, UnsupportedSnakeError
 from .intervals import Interval
-from .lweight import LWeight
+from .lweight import LWeight, _normalize
 from .snakes import LEFT, AlternatingSnake
 
 
@@ -130,14 +130,10 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
     corners = cache(lambda t, downs: _corners(downs, ivs[t].j, s.n))
-    seen: set[tuple] = set()
-    for stack in _stacked_downs(ivs, s.n):
-        acc: dict = {}
-        for t, downs in enumerate(stack):
-            for iv, e in corners(t, downs):
-                acc[iv] = acc.get(iv, 0) + e
-        seen.add(tuple((iv, e) for iv, e in sorted(acc.items()) if e))
-    return {LWeight(s.n, key) for key in seen}
+    return {
+        LWeight(s.n, _normalize(chain.from_iterable(map(corners, count(), stack)), s.n))
+        for stack in _stacked_downs(ivs, s.n)
+    }
 
 
 def dominant_ell_weights(s: AlternatingSnake) -> set[LWeight]:

@@ -20,7 +20,7 @@ from .lweight import LWeight
 def _term_key(term: tuple[LWeight, int]) -> tuple:
     # graded, then lexicographic on the sorted generator list
     w = term[0]
-    return (sum(e for _, e in w.gens), w.sort_key())
+    return (sum(e for _, e in w.gens), w.gens)
 
 
 def _mono_str(w: LWeight) -> str:

@@ -88,6 +88,20 @@ class TestKLTable:
         with pytest.raises(UnsupportedSnakeError):
             kl_table(example_one)
 
+    def test_tied_upper_endpoints_sum_on_the_nu_key_representative(self):
+        # lambda + rho = (5, 4, 4, 3): the two tied positions are summed over,
+        # and each orbit sum sits where nu_key puts it, lower endpoints
+        # increasing within the tie (KL theory has +1 at (-2, -1, -2, 0) instead)
+        s = AlternatingSnake.build([[-2, 4], [-1, 5], [-2, 3], [0, 4]], [1, 2, 3, 4], 7)
+        table = kl_table(s)
+        assert table.lambda_plus_rho == (5, 4, 4, 3)
+        assert table.rows == (
+            ((-2, -2, -1, 0), 1),
+            ((-2, -1, 0, -2), -1),
+            ((-1, -2, -2, 0), -1),
+            ((-1, -2, 0, -2), 1),
+        )
+
     def test_nested_family_values(self):
         rng = random.Random(157)
         for _ in range(25):

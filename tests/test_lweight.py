@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 from snakemod import (
     Interval,
     LWeight,
     MalformedIntervalError,
     RankMismatchError,
+    RootVector,
     ell_root,
+    ell_weights,
     is_connected_pair,
     leq,
     rectangle_root_product,
@@ -262,3 +265,37 @@ class TestJson:
     def test_shape(self):
         x = w([(1, 2, 1), (0, 2, 1)], 3)
         assert x.to_json() == {"n": 3, "gens": [[0, 2, 1], [1, 2, 1]]}
+
+
+class TestValueType:
+    """A weight is the immutable tuple (n, gens): it sorts, hashes and compares as that tuple."""
+
+    def test_repr(self):
+        assert repr(w([(0, 1, 1)], 2)) == "LWeight(n=2, gens=((Interval(i=0, j=1), 1),))"
+        assert repr(RootVector(2, ((Interval(0, 1), 3),))) == (
+            "RootVector(n=2, coeffs=((Interval(i=0, j=1), 3),))"
+        )
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (LWeight(2, ((Interval(0, 1), 1),)), "n"),
+            (LWeight(2, ((Interval(0, 1), 1),)), "gens"),
+            (RootVector(2, ((Interval(0, 1), 1),)), "n"),
+            (RootVector(2, ((Interval(0, 1), 1),)), "coeffs"),
+        ],
+    )
+    def test_fields_are_read_only(self, value, field):
+        before = tuple(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        assert tuple(value) == before
+
+    def test_weights_of_one_rank_sort_by_endpoints_then_exponent(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            s = corpus.random_single_run(rng, rng.randint(1, 5), rng.randint(1, 3), rng.random() < 0.5)
+            weights = list(ell_weights(s))
+            rng.shuffle(weights)
+            by_key = sorted(weights, key=lambda x: tuple((iv.i, iv.j, e) for iv, e in x.gens))
+            assert sorted(weights) == by_key
