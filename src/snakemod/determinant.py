@@ -346,7 +346,8 @@ def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) 
 
 def _label_weight(m: SnakeMatrix) -> Callable[[tuple[Interval, ...]], LWeight]:
     n = m.snake.n
-    return lambda ivs: LWeight.from_generators(((iv, 1) for iv in ivs), n)
+    pair = {iv: (iv, 1) for row in m.rows for _, iv in row}
+    return lambda ivs: LWeight.from_generators(map(pair.__getitem__, ivs), n)
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:

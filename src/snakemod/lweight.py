@@ -15,21 +15,38 @@ used throughout (``leq``).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedIntervalError, RankMismatchError
 from .intervals import Interval, is_connected_pair
 
+_exponent = itemgetter(1)
+
 
 def _normalize(pairs: Iterable[tuple[Interval, int]], n: int) -> tuple[tuple[Interval, int], ...]:
-    acc: dict[Interval, int] = {}
-    for iv, e in pairs:
+    """Sum exponents per interval, erase boundary generators and zeros, sort.
+
+    A pair that is alone on its interval and has an exact ``int`` exponent is
+    kept as the caller's own object, so weights built from shared pairs share
+    them.  A new pair is built only for a sum, or as ``(iv, 0 + e)`` for any
+    other exponent or pair type, so a ``bool`` exponent still becomes an ``int``.
+    """
+    acc: dict[Interval, tuple[Interval, int]] = {}
+    for pair in pairs:
+        iv, e = pair
         d = iv.j - iv.i
         if 0 < d <= n:
-            acc[iv] = acc.get(iv, 0) + e
+            old = acc.get(iv)
+            if old is not None:
+                acc[iv] = (iv, old[1] + e)
+            elif type(e) is int and type(pair) is tuple:
+                acc[iv] = pair
+            else:
+                acc[iv] = (iv, 0 + e)
         elif d != 0 and d != n + 1:
             raise MalformedIntervalError(iv, n)
-    return tuple((iv, e) for iv, e in sorted(acc.items()) if e)
+    return tuple(filter(_exponent, map(acc.__getitem__, sorted(acc))))
 
 
 class LWeight(NamedTuple):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations, count
+from operator import itemgetter
 
 from .determinant import det_dimension, snake_matrix, walk
 from .errors import MalformedIntervalError, UnsupportedSnakeError
@@ -129,9 +130,13 @@ def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
-    corners = cache(lambda t, downs: _corners(downs, ivs[t].j, s.n))
+    corners = cache(lambda t, downs: _normalize(_corners(downs, ivs[t].j, s.n), s.n))
+    # A corner [i, j] is the point (j - i, i + j) of its path, and strictly
+    # stacked paths share no point, so no two layers share a corner: the
+    # weight is the sorted union of the layers' normalised corners.
+    by_interval = itemgetter(0)
     return {
-        LWeight(s.n, _normalize(chain.from_iterable(map(corners, count(), stack)), s.n))
+        LWeight(s.n, tuple(sorted(chain.from_iterable(map(corners, count(), stack)), key=by_interval)))
         for stack in _stacked_downs(ivs, s.n)
     }
 

@@ -10,11 +10,14 @@ from snakemod import (
     RIGHT,
     AlternatingSnake,
     InvalidSnakeError,
+    LWeight,
     enumerate_paths,
     nonzero_permutations,
     permutation_sign,
 )
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
+from snakemod.lweight import _normalize
+from snakemod.paths import _corners, _stacked_downs
 
 MAX_TRIES = 2000
 
@@ -58,6 +61,21 @@ def stacked_tuples(s: AlternatingSnake) -> list[tuple]:
         if all(x > y for a, b in zip(tup, tup[1:]) for x, y in zip(a.values, b.values))
     ]
     return [tup[::-1] for tup in kept] if flipped else kept
+
+
+def summed_ell_weights(s: AlternatingSnake) -> set[LWeight]:
+    """``ell_weights`` by summing every corner of each stacked tuple.
+
+    The oracle for the sorted union of the layers' corners: it sums all the
+    tuple's corners through the validating normaliser, so a corner shared by
+    two layers would add up or cancel here and not there.
+    """
+    ivs, _ = _left_run(s)
+    weights = set()
+    for stack in _stacked_downs(ivs, s.n):
+        corners = [c for iv, downs in zip(ivs, stack) for c in _corners(downs, iv.j, s.n)]
+        weights.add(LWeight(s.n, _normalize(corners, s.n)))
+    return weights
 
 
 def walked_signed_sum(m, key) -> tuple[dict, int]:

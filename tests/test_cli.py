@@ -25,6 +25,7 @@ EXAMPLE_ONE = {
     "breaks": [1, 2, 4],
 }
 PAIR = {"n": 2, "intervals": [[0, 2], [-1, 1]], "breaks": [1, 2]}
+TRIPLE = {"n": 3, "intervals": [[0, 2], [-1, 1], [-2, 0]], "breaks": [1, 3]}
 UNSTABLE = {
     "n": 5,
     "intervals": [[-1, 0], [-3, -1], [-2, 1], [-4, 0], [-3, 2]],
@@ -574,6 +575,7 @@ class TestGolden:
             ("kl", ["kl", "-"], EXAMPLE_ONE, 3),
             ("kl-pair", ["kl", "-"], PAIR, 0),
             ("character-pair", ["character", "-"], PAIR, 0),
+            ("character-triple", ["character", "-"], TRIPLE, 0),
         ],
     )
     def test_bytes(self, name, argv, data, code):

@@ -19,6 +19,7 @@ from snakemod import (
     rectangle_root_product,
     root_decompose,
 )
+from snakemod.lweight import _normalize
 
 
 def w(pairs, n):
@@ -60,6 +61,52 @@ class TestNormalization:
             w([(-1, 4, 1)], 3)
         with pytest.raises(MalformedIntervalError):
             w([(2, 1, 1)], 3)
+
+
+class TestNormalizedPairs:
+    """``_normalize`` hands back the caller's pair unless it has to build one."""
+
+    def test_bool_exponent_becomes_int(self):
+        x = LWeight.from_generators([(Interval(0, 1), True)], 2)
+        assert x.gens == ((Interval(0, 1), 1),)
+        assert type(x.gens[0][1]) is int
+        assert json.dumps(x.to_json()) == '{"n": 2, "gens": [[0, 1, 1]]}'
+
+    def test_list_pair_becomes_tuple(self):
+        x = LWeight.from_generators([[Interval(0, 1), 1]], 2)
+        assert type(x.gens[0]) is tuple
+        assert hash(x) == hash(LWeight.generator(0, 1, 2))
+
+    def test_unsummed_pair_is_reused(self):
+        a, b = (Interval(1, 2), -1), (Interval(0, 1), 2)
+        gens = _normalize([a, b], 3)
+        assert gens == (b, a)
+        assert gens[0] is b and gens[1] is a
+
+    def test_summed_pair_is_new(self):
+        a, b = (Interval(0, 1), 2), (Interval(0, 1), 3)
+        gens = _normalize([a, b], 3)
+        assert gens == ((Interval(0, 1), 5),)
+        assert gens[0] is not a and gens[0] is not b
+        assert type(gens[0][1]) is int
+
+    def test_product_shares_pairs(self):
+        x, y = w([(0, 1, 1), (2, 3, -1)], 3), w([(1, 2, 2)], 3)
+        want = (x.gens[0], y.gens[0], x.gens[1])
+        assert all(p is q for p, q in zip((x * y).gens, want, strict=True))
+
+    def test_zero_sums_dropped(self):
+        gens = _normalize([(Interval(0, 1), 2), (Interval(1, 2), 1), (Interval(0, 1), -2)], 3)
+        assert gens == ((Interval(1, 2), 1),)
+
+    def test_boundary_lengths_skipped(self):
+        keep = (Interval(0, 2), 1)
+        assert _normalize([(Interval(5, 5), 1), keep, (Interval(0, 4), -3)], 3) == (keep,)
+
+    def test_malformed_still_raised(self):
+        for bad in (Interval(-1, 4), Interval(2, 1)):
+            with pytest.raises(MalformedIntervalError):
+                _normalize([(Interval(0, 1), 1), (bad, 1)], 3)
 
 
 class TestGroupLaws:

@@ -263,6 +263,42 @@ class TestWeights:
                 assert leq(w, top)
 
 
+def join_cases() -> list[AlternatingSnake]:
+    """Random single runs in both directions, then the ladder rungs up to r = 4."""
+    rng = random.Random(157)
+    runs = [
+        corpus.random_single_run(rng, rng.randint(1, 5), rng.randint(1, 4), rng.random() < 0.5)
+        for _ in range(40)
+    ]
+    runs = [s for s in runs if snake_dimension(s) <= 5_000]
+    assert {s.first_direction() for s in runs if s.r > 1} == {"left", "right"}
+    return runs + [ladder(r) for r in range(1, 5)] + [ladder(3).mirror()]
+
+
+class TestCornerJoin:
+    """ell_weights joins the layers' corners without summing them."""
+
+    def test_layers_share_no_corner(self):
+        corners = {}
+        for s in join_cases():
+            for tup in noncrossing_tuples(s):
+                seen: set = set()
+                for path in tup:
+                    if path not in corners:
+                        c = corner_set(path)
+                        corners[path] = {*c.plus, *c.minus}
+                    assert seen.isdisjoint(corners[path]), str(s)
+                    seen |= corners[path]
+
+    def test_exponents_are_units(self):
+        for s in join_cases():
+            assert all(e in (1, -1) for w in ell_weights(s) for _, e in w.gens), str(s)
+
+    def test_matches_summing_route(self):
+        for s in join_cases():
+            assert ell_weights(s) == corpus.summed_ell_weights(s), str(s)
+
+
 class TestCrossOracle:
     def test_worked_case(self):
         from snakemod import det_laplace, snake_matrix
