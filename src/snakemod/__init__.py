@@ -2,8 +2,11 @@
 
 Interval weight arithmetic, snake validation and prime factorization,
 determinantal expansions of irreducible classes over standard classes,
-the lattice-path weight model, and the induced Kazhdan-Lusztig
-coefficient tables for category O of gl_r.
+the weight set and dimension of the lattice-path model, and the induced
+Kazhdan-Lusztig coefficient tables for category O of gl_r.  The
+independent oracles that check these (explicit lattice paths, cell
+lookups in the snake matrix, a permutation sign by inversions) live
+with the tests.
 """
 
 __version__ = "0.1.0"
@@ -45,22 +48,11 @@ from .determinant import (
     expansion_dominated,
     minor_identity_holds,
     nonzero_permutations,
-    permutation_sign,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
 )
-from .paths import (
-    CornerSet,
-    LatticePath,
-    corner_set,
-    dominant_ell_weights,
-    ell_weights,
-    enumerate_paths,
-    noncrossing_tuples,
-    path_weight,
-    snake_dimension,
-)
+from .paths import ell_weights, snake_dimension
 from .category_o import (
     KLTable,
     highest_weight_pair,
@@ -71,7 +63,6 @@ from .category_o import (
 
 __all__ = [
     "AlternatingSnake",
-    "CornerSet",
     "Diagnostic",
     "FamilyConstraintError",
     "InternalCheckError",
@@ -80,7 +71,6 @@ __all__ = [
     "KLTable",
     "LEFT",
     "LWeight",
-    "LatticePath",
     "MalformedIntervalError",
     "RIGHT",
     "RankMismatchError",
@@ -90,16 +80,13 @@ __all__ = [
     "StandardExpansion",
     "UnsupportedSnakeError",
     "as_interval",
-    "corner_set",
     "cross_adjacent",
     "derived_snake",
     "det_laplace",
     "det_leibniz",
     "diagnose",
-    "dominant_ell_weights",
     "ell_root",
     "ell_weights",
-    "enumerate_paths",
     "expansion_dominated",
     "fundamental_class",
     "highest_weight_pair",
@@ -109,11 +96,8 @@ __all__ = [
     "leq",
     "minor_identity_holds",
     "nested_prime_snake",
-    "noncrossing_tuples",
     "nonzero_permutations",
     "overlaps",
-    "path_weight",
-    "permutation_sign",
     "rectangle_root_product",
     "root_decompose",
     "snake_dimension",

@@ -31,8 +31,11 @@ DET_MAX_STEPS = 2_500_000
 @dataclass(frozen=True)
 class SnakeMatrix:
     """The snake matrix as its nonzero cells, 1-based: ``rows[p - 1]`` holds row p's
-    (column, label) pairs by ascending column, ``cols`` the same by column, and
-    ``entries`` is the dense r x r view, built on each read."""
+    (column, label) pairs by ascending column and ``cols`` the same by column.
+
+    ``entries`` is the dense r x r view with None for a zero, built on each
+    read.  No determinant route uses it; the benchmark reads it.
+    """
 
     snake: AlternatingSnake
     rows: tuple[tuple[tuple[int, Interval], ...], ...]
@@ -58,15 +61,6 @@ class SnakeMatrix:
                 dense[l - 1] = iv
             out.append(tuple(dense))
         return tuple(out)
-
-    def entry(self, p: int, l: int) -> Interval | None:
-        """The interval label at 1-based (row, column), or None for a zero."""
-        if not (1 <= p <= self.size and 1 <= l <= self.size):
-            raise IndexError(f"entry ({p}, {l}) out of range 1..{self.size}")
-        return dict(self.rows[p - 1]).get(l)
-
-    def pattern(self) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(e is not None for e in row) for row in self.entries)
 
 
 def _clamped_break(s: AlternatingSnake, t: int) -> int:
@@ -169,7 +163,7 @@ def det_dimension(m: SnakeMatrix) -> int:
                     live_in_col[l].discard(q)
             rows[q], rel[q] = row, piv
         prev = piv
-    return permutation_sign(tuple(pivot_rows)) * prev
+    return _permutation_sign(tuple(pivot_rows)) * prev
 
 
 def _rescaled(row: dict[int, int], prev: int, rel: int) -> dict[int, int]:
@@ -185,7 +179,7 @@ def _exact(x: int, d: int) -> int:
     return q
 
 
-def permutation_sign(perm: tuple[int, ...]) -> int:
+def _permutation_sign(perm: tuple[int, ...]) -> int:
     """The sign of the inversions of distinct values, from the cycles of their ranks."""
     rank = {v: k for k, v in enumerate(sorted(perm))}
     dest, swaps = [rank[v] for v in perm], 0

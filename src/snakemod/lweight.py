@@ -49,6 +49,13 @@ def _normalize(pairs: Iterable[tuple[Interval, int]], n: int) -> tuple[tuple[Int
     return tuple(filter(_exponent, map(acc.__getitem__, sorted(acc))))
 
 
+def _word(w: "LWeight", letter: str) -> str:
+    """``w`` as a product of ``letter[i,j]^e`` symbols, or "1" for the identity."""
+    if not w.gens:
+        return "1"
+    return "*".join(f"{letter}[{iv.i},{iv.j}]" + (f"^{e}" if e != 1 else "") for iv, e in w.gens)
+
+
 class LWeight(NamedTuple):
     """A normalized element of the rank-n weight group; one rank's weights sort by ``gens``."""
 
@@ -105,11 +112,7 @@ class LWeight(NamedTuple):
         )
 
     def __str__(self) -> str:
-        if not self.gens:
-            return "1"
-        return "*".join(
-            f"w[{iv.i},{iv.j}]" + (f"^{e}" if e != 1 else "") for iv, e in self.gens
-        )
+        return _word(self, "w")
 
 
 def ell_root(iv: Interval, n: int) -> LWeight:

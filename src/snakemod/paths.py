@@ -7,47 +7,21 @@ its maximum corners.  Strictly stacked path tuples enumerate the weights of
 single-run snake classes, with multiplicity one.  Their number, the class's
 dimension, is the snake matrix's determinant evaluated at binomials
 (Lindstrom-Gessel-Viennot), so it is computed without building any path.
+Elsewhere a path is only the tuple of its down steps; the tests build the
+explicit paths as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, combinations, count
+from itertools import chain, count
 from operator import itemgetter
 
 from .determinant import det_dimension, snake_matrix, walk
-from .errors import MalformedIntervalError, UnsupportedSnakeError
+from .errors import UnsupportedSnakeError
 from .intervals import Interval
 from .lweight import LWeight, _normalize
 from .snakes import LEFT, AlternatingSnake
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    n: int
-    interval: Interval
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CornerSet:
-    plus: tuple[Interval, ...]
-    minus: tuple[Interval, ...]
-
-
-def enumerate_paths(iv: Interval, n: int) -> list[LatticePath]:
-    """All paths for the interval; there are binomial(n+1, j-i) of them."""
-    if not iv.is_well_formed(n):
-        raise MalformedIntervalError(iv, n)
-    return [_lattice_path(iv, n, downs) for downs in combinations(range(n + 1), iv.length)]
-
-
-def _lattice_path(iv: Interval, n: int, downs: tuple[int, ...]) -> LatticePath:
-    """The path of the interval whose down steps (step t joins g(t) to g(t+1)) are ``downs``."""
-    down_set = set(downs)
-    steps = (-1 if t in down_set else 1 for t in range(n + 1))
-    return LatticePath(n, iv, tuple(accumulate(steps, initial=2 * iv.j)))
 
 
 def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int]]:
@@ -65,20 +39,6 @@ def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int
         if d < n and (c + 1 == len(downs) or downs[c + 1] != d + 1):
             out.append((Interval(j - c - 1, j + d - c), 1))
     return out
-
-
-def corner_set(path: LatticePath) -> CornerSet:
-    g = path.values
-    downs = tuple(t for t in range(path.n + 1) if g[t + 1] < g[t])
-    corners = _corners(downs, path.interval.j, path.n)
-    return CornerSet(*(tuple(iv for iv, e in corners if e == sign) for sign in (1, -1)))
-
-
-def path_weight(path: LatticePath) -> LWeight:
-    c = corner_set(path)
-    return LWeight.from_generators(
-        [*((iv, 1) for iv in c.plus), *((iv, -1) for iv in c.minus)], path.n
-    )
 
 
 def _stacked_downs(intervals, n):
@@ -114,19 +74,6 @@ def _as_left_run(s: AlternatingSnake):
     return s.intervals[::-1], True
 
 
-def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
-    """All path tuples with strict pointwise domination between neighbours.
-
-    Defined for single-run snakes.  An ascending run is enumerated through
-    its reversal (same weight, same class) and the tuples are reported back
-    in the input's position order.
-    """
-    ivs, flipped = _as_left_run(s)
-    path = cache(lambda t, downs: _lattice_path(ivs[t], s.n, downs))
-    tuples = [tuple(map(path, range(len(ivs)), stack)) for stack in _stacked_downs(ivs, s.n)]
-    return [tup[::-1] for tup in tuples] if flipped else tuples
-
-
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
@@ -139,10 +86,6 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
         LWeight(s.n, tuple(sorted(chain.from_iterable(map(corners, count(), stack)), key=by_interval)))
         for stack in _stacked_downs(ivs, s.n)
     }
-
-
-def dominant_ell_weights(s: AlternatingSnake) -> set[LWeight]:
-    return {w for w in ell_weights(s) if w.is_dominant()}
 
 
 def snake_dimension(s: AlternatingSnake) -> int:

@@ -14,19 +14,13 @@ from typing import Iterable
 
 from .errors import RankMismatchError
 from .intervals import Interval
-from .lweight import LWeight
+from .lweight import LWeight, _word
 
 
 def _term_key(term: tuple[LWeight, int]) -> tuple:
     # graded, then lexicographic on the sorted generator list
     w = term[0]
     return (sum(e for _, e in w.gens), w.gens)
-
-
-def _mono_str(w: LWeight) -> str:
-    if not w.gens:
-        return "1"
-    return "*".join(f"V[{iv.i},{iv.j}]" + (f"^{e}" if e != 1 else "") for iv, e in w.gens)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ class RingElement:
         for mono, c in self.terms:
             sign = "+" if c >= 0 else "-"
             mag = abs(c)
-            text = _mono_str(mono)
+            text = _word(mono, "V")
             body = text if mag == 1 and mono.gens else f"{mag}*{text}" if mono.gens else str(mag)
             parts.append(f"{sign} {body}")
         joined = " ".join(parts)

@@ -3,23 +3,114 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, combinations, product
 
 from snakemod import (
     LEFT,
     RIGHT,
     AlternatingSnake,
+    Interval,
     InvalidSnakeError,
     LWeight,
-    enumerate_paths,
+    MalformedIntervalError,
+    ell_weights,
     nonzero_permutations,
-    permutation_sign,
 )
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 from snakemod.lweight import _normalize
-from snakemod.paths import _corners, _stacked_downs
+from snakemod.paths import _as_left_run, _corners, _stacked_downs
 
 MAX_TRIES = 2000
+
+
+@dataclass(frozen=True)
+class LatticePath:
+    """A path for [i, j] at rank n: g(0..n+1) with g(0) = 2j, g(n+1) = n+1+2i, unit steps."""
+
+    n: int
+    interval: Interval
+    values: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CornerSet:
+    plus: tuple[Interval, ...]
+    minus: tuple[Interval, ...]
+
+
+def enumerate_paths(iv: Interval, n: int) -> list[LatticePath]:
+    """All paths for the interval; there are binomial(n+1, j-i) of them."""
+    if not iv.is_well_formed(n):
+        raise MalformedIntervalError(iv, n)
+    return [_lattice_path(iv, n, downs) for downs in combinations(range(n + 1), iv.length)]
+
+
+def _lattice_path(iv: Interval, n: int, downs: tuple[int, ...]) -> LatticePath:
+    """The path of the interval whose down steps (step t joins g(t) to g(t+1)) are ``downs``."""
+    down_set = set(downs)
+    steps = (-1 if t in down_set else 1 for t in range(n + 1))
+    return LatticePath(n, iv, tuple(accumulate(steps, initial=2 * iv.j)))
+
+
+def corner_set(path: LatticePath) -> CornerSet:
+    """The interior local minima (plus) and maxima (minus) of the path, left to right.
+
+    The point (t, g(t)) is the interval [(g - t) / 2, (g + t) / 2]; the
+    corners are read off the values, not off the library's down-step rule.
+    """
+    g = path.values
+    plus, minus = [], []
+    for t in range(1, path.n + 1):
+        corner = Interval((g[t] - t) // 2, (g[t] + t) // 2)
+        if g[t - 1] > g[t] < g[t + 1]:
+            plus.append(corner)
+        elif g[t - 1] < g[t] > g[t + 1]:
+            minus.append(corner)
+    return CornerSet(tuple(plus), tuple(minus))
+
+
+def path_weight(path: LatticePath) -> LWeight:
+    c = corner_set(path)
+    return LWeight.from_generators(
+        [*((iv, 1) for iv in c.plus), *((iv, -1) for iv in c.minus)], path.n
+    )
+
+
+def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
+    """The library's stacked down-step sets as explicit path tuples.
+
+    Defined for single-run snakes.  An ascending run is enumerated through
+    its reversal (same weight, same class) and the tuples are reported back
+    in the input's position order.
+    """
+    ivs, flipped = _as_left_run(s)
+    path = cache(lambda t, downs: _lattice_path(ivs[t], s.n, downs))
+    tuples = [tuple(map(path, range(len(ivs)), stack)) for stack in _stacked_downs(ivs, s.n)]
+    return [tup[::-1] for tup in tuples] if flipped else tuples
+
+
+def dominant_ell_weights(s: AlternatingSnake) -> set[LWeight]:
+    return {w for w in ell_weights(s) if w.is_dominant()}
+
+
+def entry(m, p: int, l: int) -> Interval | None:
+    """The label of a snake matrix at 1-based (row, column), or None for a zero."""
+    if not (1 <= p <= m.size and 1 <= l <= m.size):
+        raise IndexError(f"entry ({p}, {l}) out of range 1..{m.size}")
+    return dict(m.rows[p - 1]).get(l)
+
+
+def pattern(m) -> tuple[tuple[bool, ...], ...]:
+    """The nonzero cells of a snake matrix, from its dense view."""
+    return tuple(tuple(e is not None for e in row) for row in m.entries)
+
+
+def by_inversions(perm: tuple[int, ...]) -> int:
+    """The sign of a sequence of distinct values, by counting its inversions."""
+    inv = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1 :])
+    return -1 if inv % 2 else 1
 
 
 def path_count(s: AlternatingSnake) -> int:
@@ -82,8 +173,8 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
     """``signed_sum`` by walking every nonzero assignment.
 
     The oracle for the column sweep: each assignment's labels are looked up
-    cell by cell and its sign is ``permutation_sign`` of the indices, so no
-    parity or merging is shared with the sweep.
+    cell by cell and its sign is the parity of its inversions, counted here,
+    so no parity or merging is shared with the sweep.
     """
     cells = {(p, l): iv for p, row in enumerate(m.rows, 1) for l, iv in row}
     left = m.snake.first_direction() == LEFT
@@ -92,7 +183,7 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
     for sigma in nonzero_permutations(m):
         pairs = [(x, slot) if left else (slot, x) for slot, x in enumerate(sigma, 1)]
         k = key(tuple(cells[pair] for pair in pairs))
-        acc[k] = acc.get(k, 0) + permutation_sign(sigma)
+        acc[k] = acc.get(k, 0) + by_inversions(sigma)
         count += 1
     return {k: c for k, c in acc.items() if c}, count
 

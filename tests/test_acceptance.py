@@ -9,15 +9,14 @@ import time
 from math import comb
 
 import corpus
+from corpus import dominant_ell_weights, enumerate_paths
 from snakemod import (
     AlternatingSnake,
     Interval,
     LWeight,
     det_laplace,
     det_leibniz,
-    dominant_ell_weights,
     ell_root,
-    enumerate_paths,
     fundamental_class,
     kl_table,
     leq,
@@ -262,11 +261,11 @@ def test_criterion_12_matrix_golden_patterns():
     fully_broken = AlternatingSnake.build(
         [[-1, 0], [-3, -1], [-2, 1], [-4, 0], [-3, 2]], [1, 2, 3, 4, 5], 5
     )
-    got = ["".join("x" if c else "." for c in row) for row in snake_matrix(fully_broken).pattern()]
+    got = ["".join("x" if c else "." for c in row) for row in corpus.pattern(snake_matrix(fully_broken))]
     if got != ["xxx..", "xxx..", ".xxxx", ".xxxx", "...xx"]:
         problems.append(f"fully-broken pattern {got}")
     skip = AlternatingSnake.build([[1, 6], [0, 3], [1, 4], [2, 5], [1, 2]], [1, 2, 4, 5], 5)
-    got = ["".join("x" if c else "." for c in row) for row in snake_matrix(skip).pattern()]
+    got = ["".join("x" if c else "." for c in row) for row in corpus.pattern(snake_matrix(skip))]
     if got != ["xxxx.", "xxxx.", ".xxx.", ".xxxx", ".xxxx"]:
         problems.append(f"skipped-break pattern {got}")
     report(12, "both five-by-five window patterns reproduced exactly", problems)

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import corpus
+from corpus import entry
 from snakemod import (
     AlternatingSnake,
     determinant,
@@ -24,7 +25,6 @@ from snakemod import (
     kl_table,
     minor_identity_holds,
     nonzero_permutations,
-    permutation_sign,
     snake_matrix,
     split_identity_holds,
     standard_expansion,
@@ -37,7 +37,7 @@ from snakemod.paths import snake_dimension
 
 
 def pattern_lines(m):
-    return ["".join("x" if cell else "." for cell in row) for row in m.pattern()]
+    return ["".join("x" if cell else "." for cell in row) for row in corpus.pattern(m)]
 
 
 GOLDEN_FIVE_FULL_BREAKS = [
@@ -90,12 +90,12 @@ class TestMatrixPattern:
         for p in range(1, 4):
             for l in range(1, 4):
                 iv = Interval(s.interval(p).i, s.interval(l).j)
-                assert (m.entry(p, l) is not None) == iv.is_well_formed(4)
+                assert (entry(m, p, l) is not None) == iv.is_well_formed(4)
 
     def test_diagonal_always_present(self):
         for s in corpus.stable_corpus(73, 40):
             m = snake_matrix(s)
-            assert all(m.entry(p, p) is not None for p in range(1, s.r + 1))
+            assert all(entry(m, p, p) is not None for p in range(1, s.r + 1))
 
     def test_mirror_transposes_the_matrix(self):
         # entry (p, l) of the mirrored snake's matrix is the mirror of
@@ -105,9 +105,9 @@ class TestMatrixPattern:
             mm = snake_matrix(s.mirror())
             for p in range(1, s.r + 1):
                 for l in range(1, s.r + 1):
-                    iv = m.entry(l, p)
+                    iv = entry(m, l, p)
                     expected = iv.mirrored() if iv is not None else None
-                    assert mm.entry(p, l) == expected
+                    assert entry(mm, p, l) == expected
 
     def test_build_cross_checks_every_well_formed_cell(self, example_one, monkeypatch):
         # the row and column rules are compared on every well-formed cell of a
@@ -131,7 +131,7 @@ class TestSparseMatrix:
     def test_entry_rejects_out_of_range(self, pair_snake, p, l):
         # 0 and negative indices would otherwise wrap to the last row
         with pytest.raises(IndexError, match=r"out of range 1\.\.2"):
-            snake_matrix(pair_snake).entry(p, l)
+            entry(snake_matrix(pair_snake), p, l)
 
     def test_rows_cols_and_dense_view_agree(self):
         for s in corpus.stable_corpus(149, 60):
@@ -199,9 +199,9 @@ class TestSigma:
     def test_signed_sums_recompute_no_sign(self, monkeypatch):
         # the sweep carries each sign as the parity of its placements
         calls = []
-        original = determinant.permutation_sign
+        original = determinant._permutation_sign
         monkeypatch.setattr(
-            determinant, "permutation_sign", lambda perm: calls.append(perm) or original(perm)
+            determinant, "_permutation_sign", lambda perm: calls.append(perm) or original(perm)
         )
         r = 12
         s = corpus.staircase(r)
@@ -220,7 +220,7 @@ class TestSigma:
         expected = [
             sigma
             for sigma in itertools.permutations(range(1, 5))
-            if all(m.entry(sigma[l], l + 1) is not None for l in range(4))
+            if all(entry(m, sigma[l], l + 1) is not None for l in range(4))
         ]
         assert sorted(nonzero_permutations(m)) == expected
         assert len(expected) == 8
@@ -232,9 +232,9 @@ class TestSigma:
             brute = []
             for sigma in itertools.permutations(range(1, s.r + 1)):
                 if left:
-                    ok = all(m.entry(sigma[t], t + 1) is not None for t in range(s.r))
+                    ok = all(entry(m, sigma[t], t + 1) is not None for t in range(s.r))
                 else:
-                    ok = all(m.entry(t + 1, sigma[t]) is not None for t in range(s.r))
+                    ok = all(entry(m, t + 1, sigma[t]) is not None for t in range(s.r))
                 if ok:
                     brute.append(sigma)
             assert sorted(nonzero_permutations(m)) == brute
@@ -340,7 +340,7 @@ class TestDeterminants:
         whole = det_laplace(m)
         assert det_laplace(m, (2, 1), (1, 2)) == -whole
         assert det_laplace(m, (2, 1), (2, 1)) == whole
-        assert det_laplace(m, (1,), (2,)) == fundamental_class(m.entry(1, 2), 2)
+        assert det_laplace(m, (1,), (2,)) == fundamental_class(entry(m, 1, 2), 2)
 
     def test_block_diagonal_when_disconnected(self):
         s = AlternatingSnake.single_run([[0, 3], [-5, -2]], 8)
@@ -367,7 +367,7 @@ class TestDeterminants:
             total = RingElement.zero(s.n)
             rows = tuple(range(1, r + 1))
             for p in range(1, s.breaks[1] + 1):
-                iv = m.entry(p, 1)
+                iv = entry(m, p, 1)
                 if iv is None:
                     continue
                 minor = det_laplace(m, tuple(x for x in rows if x != p), rows[1:])
@@ -390,23 +390,20 @@ class TestDeterminants:
 
 
 class TestPermutationSign:
-    @staticmethod
-    def by_inversions(perm):
-        inv = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1 :])
-        return -1 if inv % 2 else 1
+    """det_dimension's sign from cycles, against the tests' inversion count."""
 
     def test_every_small_permutation(self):
         # size 0 is the empty tuple, whose sign is +1
         for size in range(7):
             for base in (0, 1):
                 for perm in itertools.permutations(range(base, base + size)):
-                    assert permutation_sign(perm) == self.by_inversions(perm), perm
+                    assert determinant._permutation_sign(perm) == corpus.by_inversions(perm), perm
 
     def test_distinct_values_with_gaps(self):
         rng = random.Random(151)
         for _ in range(2000):
             perm = tuple(rng.sample(range(-50, 50), rng.randint(0, 12)))
-            assert permutation_sign(perm) == self.by_inversions(perm), perm
+            assert determinant._permutation_sign(perm) == corpus.by_inversions(perm), perm
 
 
 class TestDetDimension:
@@ -429,7 +426,7 @@ class TestDetDimension:
             perm = list(range(s.r))
             rng.shuffle(perm)
             shuffled = SnakeMatrix(s, tuple(m.rows[p] for p in perm))
-            sign = permutation_sign(tuple(perm))
+            sign = corpus.by_inversions(tuple(perm))
             assert det_dimension(shuffled) == sign * det_dimension(m), str(s)
             assert det_dimension(shuffled) == det_laplace(shuffled).dimension(), str(s)
 

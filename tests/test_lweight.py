@@ -323,6 +323,12 @@ class TestValueType:
             "RootVector(n=2, coeffs=((Interval(i=0, j=1), 3),))"
         )
 
+    def test_str(self):
+        # sorted by interval; exponent 1 is left implicit; boundary generators vanish
+        x = w([(1, 3, 2), (0, 2, 1), (0, 1, -1), (4, 4, 7)], 3)
+        assert str(x) == "w[0,1]^-1*w[0,2]*w[1,3]^2"
+        assert str(LWeight.identity(3)) == "1"
+
     @pytest.mark.parametrize(
         "value, field",
         [

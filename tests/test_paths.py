@@ -7,20 +7,22 @@ from math import comb, prod
 import pytest
 
 import corpus
+from corpus import (
+    corner_set,
+    dominant_ell_weights,
+    enumerate_paths,
+    noncrossing_tuples,
+    path_weight,
+)
 from snakemod import (
     AlternatingSnake,
     Interval,
     LWeight,
     MalformedIntervalError,
     UnsupportedSnakeError,
-    corner_set,
-    dominant_ell_weights,
     ell_root,
     ell_weights,
-    enumerate_paths,
     is_connected_pair,
-    noncrossing_tuples,
-    path_weight,
     paths,
     root_decompose,
     snake_dimension,
@@ -160,6 +162,9 @@ class TestTuples:
         s = AlternatingSnake.build([[0, 4], [-1, 1], [1, 2], [2, 3]], [1, 2, 4], 5)
         with pytest.raises(UnsupportedSnakeError):
             noncrossing_tuples(s)
+        for route in (ell_weights, snake_dimension):
+            with pytest.raises(UnsupportedSnakeError):
+                route(s)
 
     def test_count_matches_enumeration(self):
         rng = random.Random(127)
@@ -185,14 +190,14 @@ def ladder(r: int) -> AlternatingSnake:
 
 class TestDimension:
     def test_builds_no_paths(self, monkeypatch):
+        # the stacked walk and the corner rule are all the path-building code there is
         built = []
-        original = paths.enumerate_paths
 
-        def counted(iv, n):
-            built.append(iv)
-            return original(iv, n)
+        def counting(name, f):
+            return lambda *args: built.append(name) or f(*args)
 
-        monkeypatch.setattr(paths, "enumerate_paths", counted)
+        for name in ("_stacked_downs", "_corners"):
+            monkeypatch.setattr(paths, name, counting(name, getattr(paths, name)))
         assert snake_dimension(ladder(8)) == 7_997_986_868_872
         assert built == []
 
