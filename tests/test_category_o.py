@@ -1,9 +1,11 @@
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
 import corpus
+import kl_oracle
 from snakemod import (
     AlternatingSnake,
     UnsupportedSnakeError,
@@ -71,6 +73,8 @@ class TestKLTable:
         assert table.mu_plus_rho == (0, -1)
         assert table.lambda_plus_rho == (2, 1)
         assert table.as_dict() == {(0, -1): 1, (-1, 0): -1}
+        assert table.coefficient([0, -1]) == 1
+        assert table.coefficient((1, -2)) == 0
 
     def test_singleton(self):
         s = AlternatingSnake.build([[-1, 2]], [1], 3)
@@ -178,6 +182,80 @@ class TestKLTable:
             assert mirrored.as_dict() == expected
 
 
+def _tie_sorted(nu, lam):
+    """nu with its entries sorted upward within each block of tied lambda entries."""
+    out, start = [], 0
+    for _, block in groupby(lam):
+        end = start + len(list(block))
+        out += sorted(nu[start:end])
+        start = end
+    return tuple(out)
+
+
+def _orbit_sums(rows, lam):
+    sums = Counter()
+    for nu, c in rows.items():
+        sums[_tie_sorted(nu, lam)] += c
+    return {nu: c for nu, c in sums.items() if c}
+
+
+class TestKLOracle:
+    """kl_table against Verma multiplicities from the KL polynomials of S_r."""
+
+    def test_oracle_singular_pairs_of_s4(self):
+        # the two singular Schubert varieties of S_4, 3412 and 4231, and no other
+        polys = kl_oracle.kl_polynomials(4)
+        nontrivial = {(x, w): p for w, row in polys.items() for x, p in row.items() if p != (1,)}
+        assert set(nontrivial.values()) == {(1, 1)}
+        assert {w for _, w in nontrivial} == {(2, 3, 0, 1), (3, 1, 2, 0)}
+        assert sum(len(row) for row in polys.values()) == 213  # Bruhat intervals of S_4
+
+    def test_corpora_agree_with_kl_theory(self):
+        # exact where lambda + rho is regular; otherwise after summing nu over
+        # the tied positions of lambda, each sum on its nu_key representative
+        snakes = (
+            corpus.stable_corpus(11, 400, r_cap=5)
+            + corpus.prime_stable_corpus(12, 300)
+            + corpus.nonprime_stable_corpus(13, 300)
+        )
+        exact = tied = 0
+        for s in snakes:
+            if s.r > 5 or not _kl_corpus_fits(s):
+                continue
+            table = kl_table(s)
+            lam, got = table.lambda_plus_rho, table.as_dict()
+            want = kl_oracle.verma_multiplicities(table.mu_plus_rho)
+            assert all(_tie_sorted(nu, lam) == nu for nu in got)
+            if len(set(lam)) == len(lam):
+                assert got == want
+                exact += 1
+            else:
+                assert got == _orbit_sums(want, lam)
+                tied += 1
+        assert exact >= 300 and tied >= 3
+
+    def test_mu_lambda_coefficients_are_units_in_kl_theory(self):
+        # the paper's claim, checked against category O rather than the determinant
+        rng = random.Random(5)
+        snakes = [corpus.staircase(4), corpus.staircase(5)]
+        snakes += [corpus.random_mu_lambda(rng, r_max=5) for _ in range(400)]
+        in_class = 0
+        for s in snakes:
+            table = kl_table(s)
+            want = kl_oracle.verma_multiplicities(table.mu_plus_rho)
+            assert set(want.values()) <= {1, -1}
+            assert table.as_dict() == _orbit_sums(want, table.lambda_plus_rho)
+            mu = table.mu_plus_rho
+            in_class += len(set(mu)) < len(mu) and not is_dominant_vector(mu)
+        assert in_class >= 30
+
+
+def _kl_corpus_fits(s):
+    lows = [iv.i for iv in s.intervals]
+    highs = [iv.j for iv in s.intervals]
+    return max(highs) - min(lows) <= s.n + 1 and min(highs) >= max(lows)
+
+
 def _kl_corpus(seed, count):
     rng = random.Random(seed)
     out = []
@@ -186,8 +264,6 @@ def _kl_corpus(seed, count):
             s, _ = corpus.random_nested(rng, k_max=2)
         else:
             s = corpus.random_single_run(rng, rng.randint(2, 8), rng.randint(1, 4))
-        lows = [iv.i for iv in s.intervals]
-        highs = [iv.j for iv in s.intervals]
-        if max(highs) - min(lows) <= s.n + 1 and min(highs) >= max(lows):
+        if _kl_corpus_fits(s):
             out.append(s)
     return out

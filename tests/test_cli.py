@@ -550,6 +550,39 @@ class TestInputOutput:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "invalid-input", "message": "JSON nested too deeply to read"}
 
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert (code, out) == (2, "")
+        report = json.loads(err)
+        assert report["error"] == "invalid-input"
+        assert report["message"].startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "-"], "expected a JSON object with n, intervals, breaks"),
+            (["decompose", "-"], "expected a JSON object with n, intervals, breaks"),
+            (["det-formula", "-"], "expected a JSON object with n, intervals, breaks"),
+            (["character", "-"], "expected a JSON object with n, intervals, breaks"),
+            (["kl", "-"], "expected a JSON object with n, intervals, breaks"),
+            (["gen", "-"], "expected a JSON object with a 'family' key"),
+        ],
+    )
+    def test_json_array_exits_2(self, argv, message):
+        code, out, err = run_in_process(argv, json.dumps([PAIR]))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": message}
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        path = write(tmp_path, EXAMPLE_ONE)
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(["det-formula", path, "--oracle", "-o", str(out_path)], capsys)
+        assert (code, out, err) == (0, "", "")
+        code, stdout, _ = run_cli(["det-formula", path, "--oracle"], capsys)
+        assert code == 0
+        assert out_path.read_bytes() == stdout.encode()
+
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
         out_path = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path

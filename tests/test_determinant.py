@@ -335,6 +335,10 @@ class TestDeterminants:
         with pytest.raises(ValueError, match="distinct indices in 1..2"):
             det_laplace(snake_matrix(pair_snake), rows, cols)
 
+    def test_minor_shape_checked(self, pair_snake):
+        with pytest.raises(ValueError, match="equal size"):
+            det_laplace(snake_matrix(pair_snake), (1, 2), (1,))
+
     def test_permuted_minors_accepted(self, pair_snake):
         m = snake_matrix(pair_snake)
         whole = det_laplace(m)
@@ -454,6 +458,7 @@ class TestStandardExpansion:
         # the crossed term normalizes: its long factor is a boundary identity
         crossed = LWeight.generator(0, 1, 2)
         assert dict(e.terms) == {lead: 1, crossed: -1}
+        assert (e.coefficient(crossed), e.coefficient(LWeight.identity(2))) == (-1, 0)
 
     def test_single_interval(self):
         s = AlternatingSnake.build([[0, 2]], [1], 3)
@@ -515,6 +520,22 @@ class TestMinorAndSplit:
         s = AlternatingSnake.build([[0, 2]], [1], 3)
         assert minor_identity_holds(s, 1)
 
+    def test_minor_guards(self, example_one):
+        single = AlternatingSnake.build([[0, 2]], [1], 3)
+        with pytest.raises(IndexError, match="only minor"):
+            minor_identity_holds(single, 2)
+        with pytest.raises(ValueError, match="no derived snake"):
+            derived_snake(single, 1)
+        # positions 1..r_1 = 1..2 only
+        for p in (0, 3):
+            with pytest.raises(IndexError):
+                derived_snake(example_one, p)
+        split = AlternatingSnake.single_run([[0, 3], [-5, -2]], 8)
+        with pytest.raises(UnsupportedSnakeError, match="prime stable"):
+            derived_snake(split, 1)
+        with pytest.raises(UnsupportedSnakeError, match="prime stable"):
+            minor_identity_holds(split, 1)
+
     def test_prime_stable_corpus(self):
         for s in corpus.prime_stable_corpus(113, 40):
             r1 = s.breaks[1] if s.k >= 1 else 1
@@ -544,3 +565,8 @@ class TestMinorAndSplit:
     def test_split_rejects_prime(self, example_one):
         with pytest.raises(ValueError):
             split_identity_holds(example_one)
+
+    def test_split_rejects_unstable(self):
+        s = AlternatingSnake.build([[-1, 0], [-3, -1], [-2, 1], [-4, 0], [-3, 2]], [1, 2, 3, 4, 5], 5)
+        with pytest.raises(UnsupportedSnakeError, match="stated for stable snakes"):
+            split_identity_holds(s)

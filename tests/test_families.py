@@ -3,7 +3,7 @@ import random
 import pytest
 
 import corpus
-from snakemod import FamilyConstraintError, InvalidSnakeError
+from snakemod import AlternatingSnake, FamilyConstraintError, InternalCheckError, InvalidSnakeError
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 
 
@@ -34,6 +34,21 @@ class TestMuLambda:
         with pytest.raises(FamilyConstraintError) as exc:
             snake_from_mu_lambda([0, 1], [3, 2], 2)  # n + 1 = lam1 - mu1
         assert exc.value.chain == "length"
+
+    @pytest.mark.parametrize(
+        "mu, lam, n, chain, index",
+        [
+            ([0], [1, 2], 3, "shape", 0),
+            ([], [], 3, "shape", 0),
+            ([0, 1, 1], [5, 4, 4], 6, "mu", 2),  # mu_2 < mu_3 is strict
+            ([0, 1, 2], [5, 4, 5], 6, "lambda", 2),  # lam_2 >= lam_3
+            ([0, 3], [4, 2], 4, "length", 2),  # lam_r - mu_r = -1
+        ],
+    )
+    def test_even_steps_and_ends_checked(self, mu, lam, n, chain, index):
+        with pytest.raises(FamilyConstraintError) as exc:
+            snake_from_mu_lambda(mu, lam, n)
+        assert (exc.value.chain, exc.value.index) == (chain, index)
 
     def test_outputs_validate_and_are_stable(self):
         rng = random.Random(61)
@@ -101,6 +116,20 @@ class TestNested:
         with pytest.raises(FamilyConstraintError) as exc:
             nested_prime_snake([1, 3, 4], [1, 0, -1, 2], [6, 5, 3, 6])
         assert exc.value.chain in ("j-junction", "run")
+        # at the second junction j_3 must stay above j_7 (a valid instance has j_7 = 3)
+        with pytest.raises(FamilyConstraintError) as exc:
+            nested_prime_snake([1, 3, 6, 8], [-4, -6, -7, -4, -3, 0, -1, -2], [12, 10, 4, 5, 7, 9, 4, 1])
+        assert (exc.value.chain, exc.value.index) == ("j-junction", 2)
+
+    def test_unequal_endpoint_vectors_rejected(self):
+        with pytest.raises(FamilyConstraintError) as exc:
+            nested_prime_snake([1], [0], [1, 2])
+        assert exc.value.chain == "shape"
+
+    def test_failed_guarantee_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(AlternatingSnake, "is_prime", lambda self: False)
+        with pytest.raises(InternalCheckError):
+            nested_prime_snake([1, 3, 4], [1, 0, -1, 2], [6, 5, 3, 4])
 
     def test_delta_violation(self):
         # j_2 falls below i_1, so the pairing [i_1, j_2] would be inverted

@@ -130,6 +130,12 @@ class TestGroupLaws:
         with pytest.raises(RankMismatchError):
             w([(0, 1, 1)], 1) * w([(0, 1, 1)], 2)
 
+    def test_powers(self):
+        x = w([(0, 1, 2), (1, 3, -1)], 3)
+        assert x**0 == LWeight.identity(3)
+        assert x**2 == x * x
+        assert x**-1 == x.inverse()
+
 
 class TestRoots:
     def test_rank_one_root(self):
@@ -193,6 +199,11 @@ class TestRectangleProduct:
         with pytest.raises(ValueError):
             rectangle_root_product(Interval(0, 1), Interval(5, 6), 8)
 
+    @pytest.mark.parametrize("a, b", [((1, 3), (0, 2)), ((0, 2), (0, 3))], ids=["reversed", "equal-lower"])
+    def test_unordered_pair_rejected(self, a, b):
+        with pytest.raises(ValueError, match="ordered by lower endpoint"):
+            rectangle_root_product(Interval(*a), Interval(*b), 3)
+
 
 class TestRootDecompose:
     def test_single_root(self):
@@ -235,6 +246,10 @@ class TestOrder:
 
     def test_simple_negative(self):
         assert not leq(w([(0, 1, 1)], 3), w([(1, 2, 1)], 3))
+
+    def test_rank_mismatch(self):
+        with pytest.raises(RankMismatchError):
+            leq(LWeight.identity(2), LWeight.identity(3))
 
     def test_root_drop(self):
         top = w([(0, 2, 1)], 3)

@@ -72,6 +72,12 @@ class TestRingLaws:
         with pytest.raises(RankMismatchError):
             RingElement.one(2) + RingElement.one(3)
 
+    def test_coefficient(self):
+        x = elem(3, (((0, 2, 1),), -2), ((), 5))
+        assert x.coefficient(LWeight.generator(0, 2, 3)) == -2
+        assert x.coefficient(LWeight.identity(3)) == 5
+        assert x.coefficient(LWeight.generator(0, 1, 3)) == 0
+
 
 class TestDimension:
     def test_fundamental(self):
@@ -165,6 +171,7 @@ class TestJson:
     def test_str(self):
         x = elem(3, (((0, 2, 1), (1, 3, 2)), -2), ((), 5), (((0, 1, 1),), 1))
         assert str(x) == "5 + V[0,1] - 2*V[0,2]*V[1,3]^2"
+        assert str(RingElement.zero(3)) == "0"
 
     def test_canonical_term_order(self):
         x = elem(2, (((0, 1, 1),), 1), ((), 3), (((0, 1, 2),), -1))

@@ -38,6 +38,10 @@ class TestValidation:
         s = AlternatingSnake.build([[0, 4], [-1, 1], [0, 3]], [1, 2, 3], 5)
         assert s.directions == ("left", "right")
 
+    def test_empty_interval_tuple(self):
+        problems = diagnose([], [1], 3)
+        assert [(p.code, p.positions) for p in problems] == [("malformed", ())]
+
     def test_malformed_interval(self):
         problems = diagnose([[0, 7], [-1, 1]], [1, 2], 5)
         assert any(p.code == "malformed" for p in problems)
@@ -247,6 +251,11 @@ class TestPrimeDecomposition:
         two_cut = AlternatingSnake.build([[0, 4], [-2, 1], [1, 4]], [1, 2, 3], 5)
         assert two_cut.within_prime_factor(1, 2)
         assert not two_cut.within_prime_factor(2, 3)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (3, 2), (4, 5)])
+    def test_within_prime_factor_out_of_range(self, example_one, lo, hi):
+        with pytest.raises(IndexError):
+            example_one.within_prime_factor(lo, hi)
 
     def test_validates_each_position_once(self, monkeypatch):
         r = 200
