@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 
 from . import __version__
 from .determinant import det_laplace, snake_matrix, standard_expansion
@@ -46,8 +47,12 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    text = _dumps({"version": __version__, "canonical": True, **payload})
     if out_path and out_path != "-":
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -58,16 +63,12 @@ def _emit(obj: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(payload: dict) -> dict:
-    return {"version": __version__, "canonical": True, **payload}
-
-
 def _is_int(x) -> bool:
     # JSON true and false load as bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _snake_data(data, n_override):
+def _load_snake(data, n_override) -> AlternatingSnake:
     if not isinstance(data, dict):
         raise InputError("expected a JSON object with n, intervals, breaks")
     for key in ("n", "intervals", "breaks"):
@@ -91,44 +92,34 @@ def _snake_data(data, n_override):
         raise InputError("intervals must be a list of [i, j] integer pairs")
     if not isinstance(breaks, list) or not all(_is_int(b) for b in breaks):
         raise InputError("breaks must be a list of integers")
-    return intervals, breaks, n
-
-
-def _load_snake(data, n_override) -> AlternatingSnake:
-    intervals, breaks, n = _snake_data(data, n_override)
     return AlternatingSnake.build(intervals, breaks, n)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(data, args) -> dict:
     try:
-        s = _load_snake(_read_json(args.input), args.n)
+        s = _load_snake(data, args.n)
     except InvalidSnakeError as exc:
-        payload = {"valid": False, "diagnostics": [d.to_json() for d in exc.diagnostics]}
-    else:
-        payload = {
-            "valid": True,
-            "runs": list(s.directions),
-            "stable": s.is_stable(),
-            "prime": s.is_prime(),
-        }
-    _emit(_report(payload), args.output)
-    return EXIT_OK
+        return {"valid": False, "diagnostics": [d.to_json() for d in exc.diagnostics]}
+    return {
+        "valid": True,
+        "runs": list(s.directions),
+        "stable": s.is_stable(),
+        "prime": s.is_prime(),
+    }
 
 
-def cmd_decompose(args) -> int:
-    s = _load_snake(_read_json(args.input), args.n)
-    payload = {
+def cmd_decompose(data, args) -> dict:
+    s = _load_snake(data, args.n)
+    return {
         "snake": s.to_json(),
         "prime": s.is_prime(),
         "stable": s.is_stable(),
         "factors": [f.to_json() for f in s.prime_factors()],
     }
-    _emit(_report(payload), args.output)
-    return EXIT_OK
 
 
-def cmd_det_formula(args) -> int:
-    s = _load_snake(_read_json(args.input), args.n)
+def cmd_det_formula(data, args) -> dict:
+    s = _load_snake(data, args.n)
     expansion = standard_expansion(s)
     payload = {
         "snake": s.to_json(),
@@ -139,39 +130,42 @@ def cmd_det_formula(args) -> int:
         if det_laplace(snake_matrix(s)) != expansion.as_ring_element():
             raise InternalCheckError("determinant algorithms disagree")
         payload["oracle"] = "ok"
-    _emit(_report(payload), args.output)
-    return EXIT_OK
+    return payload
 
 
-def cmd_character(args) -> int:
-    s = _load_snake(_read_json(args.input), args.n)
+def _count(x: int) -> str:
+    """``x`` in decimal, or a lower bound 10^d when it has too many digits to convert."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 10^{int((x.bit_length() - 1) * log10(2))}"
+
+
+def cmd_character(data, args) -> dict:
+    s = _load_snake(data, args.n)
     dim = snake_dimension(s)
     steps = s.r + sum(iv.length for iv in s.intervals)
     if dim * steps > CHARACTER_MAX_STEPS:
         raise UnsupportedSnakeError(
-            f"character would enumerate {dim} path tuples of {steps} layers and down steps "
-            f"each, {dim * steps} in all; the limit is {CHARACTER_MAX_STEPS}"
+            f"character would enumerate {_count(dim)} path tuples of {_count(steps)} layers and "
+            f"down steps each, {_count(dim * steps)} in all; the limit is {CHARACTER_MAX_STEPS}"
         )
     weights = sorted(ell_weights(s))
-    payload = {
+    return {
         "snake": s.to_json(),
         "dim": dim,
         "weights": [w.to_json() for w in weights],
     }
-    _emit(_report(payload), args.output)
-    return EXIT_OK
 
 
-def cmd_kl(args) -> int:
-    s = _load_snake(_read_json(args.input), args.n)
+def cmd_kl(data, args) -> dict:
+    s = _load_snake(data, args.n)
     table = kl_table(s)
-    payload = {
+    return {
         "mu_plus_rho": list(table.mu_plus_rho),
         "lambda_plus_rho": list(table.lambda_plus_rho),
         "rows": [{"nu_plus_rho": list(nu), "c": c} for nu, c in table.rows],
     }
-    _emit(_report(payload), args.output)
-    return EXIT_OK
 
 
 def _int_list(params: dict, key: str) -> list[int]:
@@ -181,8 +175,7 @@ def _int_list(params: dict, key: str) -> list[int]:
     return value
 
 
-def cmd_gen(args) -> int:
-    params = _read_json(args.params)
+def cmd_gen(params, args) -> dict:
     if not isinstance(params, dict) or "family" not in params:
         raise InputError("expected a JSON object with a 'family' key")
     family = params["family"]
@@ -195,19 +188,16 @@ def cmd_gen(args) -> int:
         s = snake_from_mu_lambda(
             _int_list(params, "mu"), _int_list(params, "lambda"), params["n"]
         )
-        payload = {"snake": s.to_json()}
-    elif family == "nested":
+        return {"snake": s.to_json()}
+    if family == "nested":
         for key in ("breaks", "lows", "highs"):
             if key not in params:
                 raise InputError(f"nested family needs key {key!r}")
         s, n_min = nested_prime_snake(
             _int_list(params, "breaks"), _int_list(params, "lows"), _int_list(params, "highs")
         )
-        payload = {"snake": s.to_json(), "n_min": n_min}
-    else:
-        raise InputError(f"unknown family {family!r}; use 'mu-lambda' or 'nested'")
-    _emit(_report(payload), args.output)
-    return EXIT_OK
+        return {"snake": s.to_json(), "n_min": n_min}
+    raise InputError(f"unknown family {family!r}; use 'mu-lambda' or 'nested'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,36 +224,31 @@ def build_parser() -> argparse.ArgumentParser:
     add("character", cmd_character, "weights and dimension of a single-run snake")
     add("kl", cmd_kl, "Kazhdan-Lusztig coefficient rows of a stable snake")
     gen = add("gen", cmd_gen, "generate a family snake from parameters", needs_snake=False)
-    gen.add_argument("params", help="family parameter JSON file, or - for stdin")
+    gen.add_argument(
+        "input", metavar="params", help="family parameter JSON file, or - for stdin"
+    )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        _emit(args.fn(_read_json(args.input), args), args.output)
+        return EXIT_OK
     except InvalidSnakeError as exc:
-        _fail(
-            {
-                "error": "invalid-snake",
-                "message": str(exc),
-                "diagnostics": [d.to_json() for d in exc.diagnostics],
-            }
-        )
-        return EXIT_INPUT
+        diagnostics = [d.to_json() for d in exc.diagnostics]
+        return _fail(EXIT_INPUT, "invalid-snake", exc, diagnostics=diagnostics)
     except UnsupportedSnakeError as exc:
-        _fail({"error": "refused", "message": str(exc)})
-        return EXIT_REFUSED
+        return _fail(EXIT_REFUSED, "refused", exc)
     except ValueError as exc:
-        _fail({"error": "invalid-input", "message": str(exc)})
-        return EXIT_INPUT
+        return _fail(EXIT_INPUT, "invalid-input", exc)
     except InternalCheckError as exc:
-        _fail({"error": "internal-check", "message": str(exc)})
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, "internal-check", exc)
 
 
-def _fail(obj: dict) -> None:
-    sys.stderr.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+def _fail(code: int, kind: str, exc: Exception, **extra) -> int:
+    sys.stderr.write(_dumps({"error": kind, "message": str(exc), **extra}))
+    return code
 
 
 if __name__ == "__main__":

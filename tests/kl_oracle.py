@@ -34,10 +34,10 @@ def _left(i: int, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i + 1 if v == i else i if v == i + 1 else v for v in x)
 
 
-def _add(p: tuple[int, ...], q: tuple[int, ...], scale: int = 1, shift: int = 0) -> tuple[int, ...]:
-    """p + scale * q^shift * q."""
-    out = list(p) + [0] * max(0, len(q) + shift - len(p))
-    for k, c in enumerate(q):
+def _add(a: tuple[int, ...], b: tuple[int, ...], scale: int = 1, shift: int = 0) -> tuple[int, ...]:
+    """a + scale * q^shift * b."""
+    out = list(a) + [0] * max(0, len(b) + shift - len(a))
+    for k, c in enumerate(b):
         out[k + shift] += scale * c
     while out and not out[-1]:
         out.pop()

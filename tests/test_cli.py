@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import corpus
 import snakemod
-from snakemod.cli import main
+from snakemod.cli import CHARACTER_MAX_STEPS, main
 from snakemod.determinant import DET_MAX_STEPS
 
 EXAMPLE_ONE = {
@@ -287,8 +287,10 @@ class TestCharacter:
             ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 1),
             ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001),
             ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 197_676),
+            # about 10^5000 tuples: more digits than Python converts an int to str
+            ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, "at least 10^4999"),
         ],
-        ids=["one-path", "one-interval", "triple"],
+        ids=["one-path", "one-interval", "triple", "past-digit-limit"],
     )
     def test_long_tuples_refused(self, tmp_path, capsys, run, dim):
         # the work is the tuples times the down steps of each, not the tuples alone
@@ -300,6 +302,7 @@ class TestCharacter:
         report = json.loads(err)
         assert report["error"] == "refused"
         assert f"enumerate {dim} path tuples" in report["message"]
+        assert report["message"].endswith(f"the limit is {CHARACTER_MAX_STEPS}")
 
 
 class TestKL:
@@ -350,6 +353,12 @@ class TestGen:
         code, _, err = run_cli(["gen", write(tmp_path, params)], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "invalid-snake"
+
+    def test_missing_nested_key_exits_2(self, tmp_path, capsys):
+        params = {"family": "nested", "breaks": [1, 3, 4], "lows": [1, 0, -1, 2]}
+        code, out, err = run_cli(["gen", write(tmp_path, params)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": "nested family needs key 'highs'"}
 
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(["gen", write(tmp_path, {"family": "spiral"})], capsys)
