@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import log10
 
 from . import __version__
 from .determinant import det_laplace, snake_matrix, standard_expansion
-from .errors import InternalCheckError, InvalidSnakeError, UnsupportedSnakeError
+from .errors import InternalCheckError, InvalidSnakeError, UnsupportedSnakeError, _count
 from .families import nested_prime_snake, snake_from_mu_lambda
 from .category_o import kl_table
 from .paths import ell_weights, snake_dimension
@@ -133,14 +132,6 @@ def cmd_det_formula(data, args) -> dict:
     return payload
 
 
-def _count(x: int) -> str:
-    """``x`` in decimal, or a lower bound 10^d when it has too many digits to convert."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"at least 10^{int((x.bit_length() - 1) * log10(2))}"
-
-
 def cmd_character(data, args) -> dict:
     s = _load_snake(data, args.n)
     dim = snake_dimension(s)
@@ -196,6 +187,13 @@ def cmd_gen(params, args) -> dict:
         s, n_min = nested_prime_snake(
             _int_list(params, "breaks"), _int_list(params, "lows"), _int_list(params, "highs")
         )
+        # the endpoints were read from JSON, but their spread may have too many digits to write back
+        try:
+            str(n_min)
+        except ValueError:
+            raise UnsupportedSnakeError(
+                f"the minimal rank n_min is {_count(n_min)}, too many digits to write"
+            ) from None
         return {"snake": s.to_json(), "n_min": n_min}
     raise InputError(f"unknown family {family!r}; use 'mu-lambda' or 'nested'")
 

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count format of their messages."""
 
 from __future__ import annotations
+
+from math import log10
+
+
+def _count(x: int) -> str:
+    """``x`` in decimal, or a lower bound 10^d when it has too many digits to convert."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 10^{int((x.bit_length() - 1) * log10(2))}"
 
 
 class RankMismatchError(ValueError):

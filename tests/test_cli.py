@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -370,6 +371,22 @@ class TestGen:
         assert code == 2
         assert json.loads(err)["error"] == "invalid-input"
 
+    def test_unwritable_minimal_rank_refused(self):
+        # n_min = 10^4300 has one digit more than Python writes by default
+        params = {"family": "nested", "breaks": [1], "lows": [-5 * 10**4299], "highs": [5 * 10**4299]}
+        code, out, err = run_in_process(["gen", "-"], json.dumps(params))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "refused",
+            "message": "the minimal rank n_min is at least 10^4299, too many digits to write",
+        }
+
+    def test_long_length_violation_exits_2(self):
+        params = {"family": "mu-lambda", "mu": [-5 * 10**4299], "lambda": [5 * 10**4299], "n": 3}
+        code, out, err = run_in_process(["gen", "-"], json.dumps(params))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": "need n + 1 > lam_1 - mu_1 = at least 10^4299"}
+
     def test_boolean_rank_exits_2(self, tmp_path, capsys):
         # mu = [0], lambda = [1] is accepted at n = 1
         params = {"family": "mu-lambda", "mu": [0], "lambda": [1], "n": True}
@@ -605,22 +622,56 @@ class TestInputOutput:
 GOLDEN = Path(__file__).parent / "golden"
 
 
+GOLDEN_CASES = [
+    ("validate", ["validate", "-"], EXAMPLE_ONE, 0),
+    ("decompose", ["decompose", "-"], EXAMPLE_ONE, 0),
+    ("det-formula", ["det-formula", "-", "--oracle"], EXAMPLE_ONE, 0),
+    ("kl", ["kl", "-"], EXAMPLE_ONE, 3),
+    ("kl-pair", ["kl", "-"], PAIR, 0),
+    ("character-pair", ["character", "-"], PAIR, 0),
+    ("character-triple", ["character", "-"], TRIPLE, 0),
+]
+
+
+def golden_streams(name, code):
+    """The expected (exit code, stdout, stderr): the golden bytes go to stderr on a refusal."""
+    golden = (GOLDEN / f"{name}.txt").read_bytes()
+    return (code, golden, b"") if code == 0 else (code, b"", golden)
+
+
 class TestGolden:
     """The README's worked examples, byte for byte (stdout, or stderr on a refusal)."""
 
-    @pytest.mark.parametrize(
-        "name, argv, data, code",
-        [
-            ("validate", ["validate", "-"], EXAMPLE_ONE, 0),
-            ("decompose", ["decompose", "-"], EXAMPLE_ONE, 0),
-            ("det-formula", ["det-formula", "-", "--oracle"], EXAMPLE_ONE, 0),
-            ("kl", ["kl", "-"], EXAMPLE_ONE, 3),
-            ("kl-pair", ["kl", "-"], PAIR, 0),
-            ("character-pair", ["character", "-"], PAIR, 0),
-            ("character-triple", ["character", "-"], TRIPLE, 0),
-        ],
-    )
+    @pytest.mark.parametrize("name, argv, data, code", GOLDEN_CASES)
     def test_bytes(self, name, argv, data, code):
-        golden = (GOLDEN / f"{name}.txt").read_bytes()
         got, out, err = run_in_process(argv, json.dumps(data))
-        assert (got, out.encode(), err.encode()) == ((code, golden, b"") if code == 0 else (code, b"", golden))
+        assert (got, out.encode(), err.encode()) == golden_streams(name, code)
+
+
+@pytest.fixture(scope="module")
+def library_alone(tmp_path_factory):
+    """A copy of the package with nothing beside it, and an empty directory to run it from."""
+    lib = tmp_path_factory.mktemp("lib")
+    shutil.copytree(Path(snakemod.__file__).parent, lib / "snakemod", ignore=shutil.ignore_patterns("__pycache__"))
+    return lib, tmp_path_factory.mktemp("empty")
+
+
+class TestGoldenLibraryAlone:
+    """The golden bytes from the library alone, under fixed string hash seeds.
+
+    ``ell_weights`` returns a set that the CLI sorts, so the bytes must not
+    follow set or dict order; and the package must import nothing from tests/.
+    """
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("name, argv, data, code", GOLDEN_CASES)
+    def test_bytes(self, library_alone, name, argv, data, code, seed):
+        lib, empty = library_alone
+        proc = subprocess.run(
+            [sys.executable, "-m", "snakemod.cli", *argv],
+            input=json.dumps(data).encode(),
+            capture_output=True,
+            cwd=empty,
+            env={**os.environ, "PYTHONPATH": str(lib), "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == golden_streams(name, code)

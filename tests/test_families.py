@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -136,6 +137,19 @@ class TestNested:
         with pytest.raises(FamilyConstraintError) as exc:
             nested_prime_snake([1, 2], [2, 0], [3, 1])
         assert exc.value.chain == "delta"
+
+    def test_delta_names_the_first_violating_pair(self):
+        # rows 1 and 2 hold; row 3 fails against i_4 and i_5 but not on the diagonal
+        with pytest.raises(FamilyConstraintError) as exc:
+            nested_prime_snake([1, 3, 5], [-4, -6, -8, -2, 0], [7, 5, -3, 2, 3])
+        assert (exc.value.chain, exc.value.index, str(exc.value)) == ("delta", 3, "need j_3 - i_4 >= 0")
+
+    def test_long_run_checked_in_linear_time(self):
+        r = 20_000
+        start = time.perf_counter()
+        s, n_min = nested_prime_snake([1, r], list(range(r, 0, -1)), list(range(2 * r, r, -1)))
+        assert time.perf_counter() - start < 2
+        assert (s.r, n_min) == (r, 2 * r - 2)
 
     def test_mutation_fuzz_flips_a_check(self):
         rng = random.Random(71)
