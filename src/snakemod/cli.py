@@ -15,6 +15,7 @@ from . import __version__
 from .determinant import det_laplace, snake_matrix, standard_expansion
 from .errors import InternalCheckError, InvalidSnakeError, UnsupportedSnakeError, _count
 from .families import nested_prime_snake, snake_from_mu_lambda
+from .intervals import _is_int
 from .category_o import kl_table
 from .paths import ell_weights, snake_dimension
 from .snakes import AlternatingSnake
@@ -60,11 +61,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
             raise InputError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _is_int(x) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_snake(data, n_override) -> AlternatingSnake:

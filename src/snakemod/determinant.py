@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product
 from math import comb, prod
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
 from .intervals import Interval, is_connected_pair
@@ -28,10 +27,10 @@ from .snakes import LEFT, RIGHT, AlternatingSnake
 DET_MAX_STEPS = 2_500_000
 
 
-@dataclass(frozen=True)
-class SnakeMatrix:
+class SnakeMatrix(NamedTuple):
     """The snake matrix as its nonzero cells, 1-based: ``rows[p - 1]`` holds row p's
-    (column, label) pairs by ascending column and ``cols`` the same by column.
+    (column, label) pairs by ascending column and ``cols[l - 1]`` column l's
+    (row, label) pairs by ascending row.
 
     ``entries`` is the dense r x r view with None for a zero, built on each
     read.  No determinant route uses it; the benchmark reads it.
@@ -39,18 +38,11 @@ class SnakeMatrix:
 
     snake: AlternatingSnake
     rows: tuple[tuple[tuple[int, Interval], ...], ...]
+    cols: tuple[tuple[tuple[int, Interval], ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def cols(self) -> tuple[tuple[tuple[int, Interval], ...], ...]:
-        out: list[list[tuple[int, Interval]]] = [[] for _ in self.rows]
-        for p, row in enumerate(self.rows, 1):
-            for l, iv in row:
-                out[l - 1].append((p, iv))
-        return tuple(map(tuple, out))
 
     @property
     def entries(self) -> tuple[tuple[Interval | None, ...], ...]:
@@ -101,6 +93,7 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
     row_windows = _windows(s, True)
     col_windows = _windows(s, False)
     rows: list[tuple[tuple[int, Interval], ...]] = []
+    cols: list[list[tuple[int, Interval]]] = [[] for _ in range(r)]
     for a, b in zip(starts, ends):
         by_j = sorted(range(a, b + 1), key=lambda l: ivs[l - 1].j)
         js = [ivs[l - 1].j for l in by_j]
@@ -117,9 +110,11 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
                         f"row and column entry rules disagree at ({p}, {l}) for {s}"
                     )
                 if keep:
-                    cells.append((l, Interval(i, ivs[l - 1].j)))
+                    iv = Interval(i, ivs[l - 1].j)
+                    cells.append((l, iv))
+                    cols[l - 1].append((p, iv))
             rows.append(tuple(cells))
-    return SnakeMatrix(s, tuple(rows))
+    return SnakeMatrix(s, tuple(rows), tuple(map(tuple, cols)))
 
 
 def det_dimension(m: SnakeMatrix) -> int:
@@ -436,14 +431,9 @@ def derived_snake(s: AlternatingSnake, p: int) -> AlternatingSnake:
         head = [Interval(s.interval(t).i, s.interval(t + 1).j) for t in range(1, p)]
     else:
         head = [Interval(s.interval(t + 1).i, s.interval(t).j) for t in range(1, p)]
-    ivs = (*head, *s.intervals[p:])
-    if len(ivs) == 1:
-        breaks: tuple[int, ...] = (1,)
-    elif r1 == 2:
-        breaks = (1, *(b - 1 for b in s.breaks[2:]))
-    else:
-        breaks = (1, *(b - 1 for b in s.breaks[1:]))
-    return AlternatingSnake.build(ivs, breaks, s.n)
+    # every break moves down one place; a break at 2 lands on r_0 = 1 and merges with it
+    breaks = (1, *(b - 1 for b in s.breaks[1:] if b > 2))
+    return AlternatingSnake.build((*head, *s.intervals[p:]), breaks, s.n)
 
 
 def minor_identity_holds(s: AlternatingSnake, p: int) -> bool:

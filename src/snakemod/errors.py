@@ -6,11 +6,12 @@ from math import log10
 
 
 def _count(x: int) -> str:
-    """``x`` in decimal, or a lower bound 10^d when it has too many digits to convert."""
+    """``x`` in decimal, or a bound 10^d or -10^d when it has too many digits to convert."""
     try:
         return str(x)
     except ValueError:
-        return f"at least 10^{int((x.bit_length() - 1) * log10(2))}"
+        d = int((x.bit_length() - 1) * log10(2))
+        return f"at least 10^{d}" if x > 0 else f"at most -10^{d}"
 
 
 class RankMismatchError(ValueError):

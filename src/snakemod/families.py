@@ -76,7 +76,7 @@ def nested_prime_snake(
     r = len(lows)
     if len(highs) != r or r < 1:
         raise FamilyConstraintError("shape", 0, "lows and highs must be equal-length, nonempty")
-    bl = tuple(int(b) for b in breaks)
+    bl = tuple(breaks)
     if not _breaks_ok(bl, r):
         raise FamilyConstraintError("breaks", 0, f"break vector {list(bl)} must satisfy 1 = r_0 < ... < r_k = {r}")
     for l in range(1, len(bl) - 1):

@@ -40,11 +40,23 @@ class Interval(NamedTuple):
         return (self.i, self.j)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_ints(what: str, values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an int (a bool is not)."""
+    for x in values:
+        if not _is_int(x):
+            raise ValueError(f"{what} must be integers, not {x!r}")
+
+
 def as_interval(value) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    i, j = value
-    return Interval(int(i), int(j))
+    """``value`` as an Interval if it is a pair of ints; anything else raises ValueError."""
+    if isinstance(value, (tuple, list)) and len(value) == 2 and all(map(_is_int, value)):
+        return value if isinstance(value, Interval) else Interval(*value)
+    raise ValueError(f"an interval is a pair of integers, not {value!r}")
 
 
 def overlaps(a: Interval, b: Interval) -> bool:

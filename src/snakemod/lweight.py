@@ -15,11 +15,12 @@ used throughout (``leq``).
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import MalformedIntervalError, RankMismatchError
-from .intervals import Interval, is_connected_pair
+from .intervals import Interval, _check_ints, is_connected_pair
 
 _exponent = itemgetter(1)
 
@@ -107,9 +108,9 @@ class LWeight(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "LWeight":
-        return cls.from_generators(
-            ((Interval(int(i), int(j)), int(e)) for i, j, e in data["gens"]), int(data["n"])
-        )
+        n, gens = data["n"], data["gens"]
+        _check_ints("n and the generator entries", (n, *chain.from_iterable(gens)))
+        return cls.from_generators(((Interval(i, j), e) for i, j, e in gens), n)
 
     def __str__(self) -> str:
         return _word(self, "w")

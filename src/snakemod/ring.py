@@ -13,7 +13,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import RankMismatchError
-from .intervals import Interval
+from .intervals import Interval, _check_ints
 from .lweight import LWeight, _word
 
 
@@ -104,15 +104,14 @@ class RingElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "RingElement":
-        n = int(data["n"])
+        n, terms = data["n"], data["terms"]
+        _check_ints("n and the coefficients", (n, *(term["coeff"] for term in terms)))
         items = []
-        for term in data["terms"]:
-            mono = LWeight.from_generators(
-                ((Interval(int(i), int(j)), int(m)) for i, j, m in term["mono"]), n
-            )
+        for term in terms:
+            mono = LWeight.from_json({"n": n, "gens": term["mono"]})
             if not mono.is_dominant():
                 raise ValueError("monomial multiplicities must be positive")
-            items.append((mono, int(term["coeff"])))
+            items.append((mono, term["coeff"]))
         return cls.from_terms(n, items)
 
     def __str__(self) -> str:

@@ -14,10 +14,10 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidSnakeError, UnsupportedSnakeError
-from .intervals import Interval, as_interval, is_connected_pair, overlaps
+from .intervals import Interval, _check_ints, as_interval, is_connected_pair, overlaps
 from .lweight import LWeight, rectangle_root_product
 
 LEFT = "left"    # both endpoint sequences strictly decreasing
@@ -32,8 +32,9 @@ def step_direction(a: Interval, b: Interval) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
+    """A violated snake condition with its witness positions; it compares as that tuple."""
+
     code: str  # malformed | breaks | alt-1 | alt0 | alt1 | alt2
     positions: tuple[int, ...]
     message: str
@@ -51,9 +52,13 @@ def _breaks_ok(breaks: tuple[int, ...], r: int) -> bool:
 
 
 def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
-    """Every violated snake condition, each with machine-readable witnesses."""
+    """Every violated snake condition, each with machine-readable witnesses.
+
+    Input that is not integers (a bool is not) raises ValueError naming the value.
+    """
     ivs = tuple(as_interval(p) for p in intervals)
-    bl = tuple(int(b) for b in breaks)
+    bl = tuple(breaks)
+    _check_ints("breaks and n", (*bl, n))
     r = len(ivs)
     out: list[Diagnostic] = []
     if r == 0:
@@ -146,7 +151,7 @@ class AlternatingSnake:
         problems = diagnose(intervals, breaks, n)
         if problems:
             raise InvalidSnakeError(problems)
-        return cls(n, tuple(as_interval(p) for p in intervals), tuple(int(b) for b in breaks))
+        return cls(n, tuple(as_interval(p) for p in intervals), tuple(breaks))
 
     @classmethod
     def single_run(cls, intervals, n: int) -> "AlternatingSnake":
@@ -223,15 +228,8 @@ class AlternatingSnake:
         return True
 
     def is_prime(self) -> bool:
-        if not self.is_connected():
-            return False
-        for m in range(1, self.k):
-            rm = self.breaks[m]
-            lo = self.interval(rm - 1)
-            hi = self.interval(rm + 1)
-            if lo.i == hi.i or lo.j == hi.j:
-                return False
-        return True
+        """Prime exactly when the unique factorization has one factor: no cut positions."""
+        return not self.cut_positions()
 
     def cut_positions(self) -> tuple[int, ...]:
         """Positions p such that the prime factorization splits p | p+1, in one scan.
@@ -245,10 +243,10 @@ class AlternatingSnake:
         for rm in self.breaks[1:-1]:
             lo, hi = self.interval(rm - 1), self.interval(rm + 1)
             into_left = step_direction(lo, self.interval(rm)) == LEFT
-            for a, b in (("i", "j"), ("j", "i")):
-                if getattr(lo, a) == getattr(hi, a):
-                    eps = 0 if (getattr(lo, b) < getattr(hi, b)) == into_left else 1
-                    junction[rm - eps] = rm
+            if lo.i == hi.i:
+                junction[rm - ((lo.j < hi.j) != into_left)] = rm
+            if lo.j == hi.j:
+                junction[rm - ((lo.i < hi.i) != into_left)] = rm
         cuts: list[int] = []
         last = 0
         for p in range(1, self.r):
@@ -282,7 +280,7 @@ class AlternatingSnake:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlternatingSnake":
-        return cls.build(data["intervals"], data["breaks"], int(data["n"]))
+        return cls.build(data["intervals"], data["breaks"], data["n"])
 
     def __str__(self) -> str:
         body = ", ".join(f"[{iv.i},{iv.j}]" for iv in self.intervals)

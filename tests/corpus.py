@@ -15,6 +15,7 @@ from snakemod import (
     InvalidSnakeError,
     LWeight,
     MalformedIntervalError,
+    SnakeMatrix,
     ell_weights,
     nonzero_permutations,
 )
@@ -105,6 +106,20 @@ def entry(m, p: int, l: int) -> Interval | None:
 def pattern(m) -> tuple[tuple[bool, ...], ...]:
     """The nonzero cells of a snake matrix, from its dense view."""
     return tuple(tuple(e is not None for e in row) for row in m.entries)
+
+
+def transposed(rows, size: int) -> tuple:
+    """The (row, label) pairs of each column, by ascending row, from a matrix's rows."""
+    cols: list[list] = [[] for _ in range(size)]
+    for p, row in enumerate(rows, 1):
+        for l, iv in row:
+            cols[l - 1].append((p, iv))
+    return tuple(map(tuple, cols))
+
+
+def matrix_from_rows(s: AlternatingSnake, rows: tuple) -> SnakeMatrix:
+    """A SnakeMatrix holding ``rows`` and the columns they give."""
+    return SnakeMatrix(s, rows, transposed(rows, len(rows)))
 
 
 def by_inversions(perm: tuple[int, ...]) -> int:
@@ -342,6 +357,28 @@ def random_nested(rng: random.Random, k_max: int = 3, n_cap: int | None = None):
             continue
         return snake, n_min
     raise RuntimeError("nested generator starved")
+
+
+def random_shape(rng: random.Random, r_cap: int = 6, n_cap: int = 6):
+    """(intervals, breaks, n) whose runs step in alternating directions.
+
+    About half are snakes: the rest break the rank or overlap across a
+    break.  The snakes include unstable and non-prime ones.
+    """
+    n, r = rng.randint(1, n_cap), rng.randint(1, r_cap)
+    inner = sorted(rng.sample(range(2, r), rng.randint(0, r - 2))) if r > 2 else []
+    breaks = [1, *inner, r] if r > 1 else [1]
+    i = rng.randint(-4, 4)
+    j = i + rng.randint(0, n + 1)
+    ivs = [(i, j)]
+    d = rng.choice((1, -1))
+    for lo, hi in zip(breaks, breaks[1:]):
+        for _ in range(lo, hi):
+            i += d * rng.randint(1, 3)
+            j += d * rng.randint(1, 3)
+            ivs.append((i, j))
+        d = -d
+    return ivs, breaks, n
 
 
 def staircase(r: int) -> AlternatingSnake:

@@ -19,6 +19,7 @@ import corpus
 import snakemod
 from snakemod.cli import CHARACTER_MAX_STEPS, main
 from snakemod.determinant import DET_MAX_STEPS
+from snakemod.errors import _count
 
 EXAMPLE_ONE = {
     "n": 5,
@@ -380,6 +381,21 @@ class TestGen:
             "error": "refused",
             "message": "the minimal rank n_min is at least 10^4299, too many digits to write",
         }
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (-5, "-5"),
+            (10**4299, "1" + "0" * 4299),
+            (10**5000, "at least 10^4999"),
+            (-(10**5000), "at most -10^4999"),
+            (-(10**5000) + 1, "at most -10^4999"),
+            (2 * 10**5000, "at least 10^5000"),
+        ],
+        ids=["small", "largest-written", "positive", "negative", "negative-below", "positive-above"],
+    )
+    def test_count_keeps_the_sign(self, x, text):
+        assert _count(x) == text
 
     def test_long_length_violation_exits_2(self):
         params = {"family": "mu-lambda", "mu": [-5 * 10**4299], "lambda": [5 * 10**4299], "n": 3}

@@ -134,8 +134,16 @@ class TestSparseMatrix:
             entry(snake_matrix(pair_snake), p, l)
 
     def test_rows_cols_and_dense_view_agree(self):
-        for s in corpus.stable_corpus(149, 60):
+        snakes = (
+            corpus.stable_corpus(149, 60)
+            + corpus.nonprime_stable_corpus(153, 50)
+            + [corpus.staircase(r) for r in range(4, 13)]
+            + [corpus.connected_run(r) for r in range(1, 30)]
+            + [corpus.pair_chain(r) for r in range(2, 30, 2)]
+        )
+        for s in snakes:
             m = snake_matrix(s)
+            assert m.cols == corpus.transposed(m.rows, m.size), str(s)
             by_row = [(p, l, iv) for p, row in enumerate(m.rows, 1) for l, iv in row]
             by_col = [(p, l, iv) for l, col in enumerate(m.cols, 1) for p, iv in col]
             dense = [
@@ -147,6 +155,28 @@ class TestSparseMatrix:
             assert by_row == dense, str(s)
             assert sorted(by_col) == by_row, str(s)
             assert all(c[0] < d[0] for line in m.cols for c, d in zip(line, line[1:]))
+
+    def test_matrix_is_a_read_only_tuple(self, pair_snake):
+        m = snake_matrix(pair_snake)
+        rows = (
+            ((1, Interval(0, 2)), (2, Interval(0, 1))),
+            ((1, Interval(-1, 2)), (2, Interval(-1, 1))),
+        )
+        cols = (
+            ((1, Interval(0, 2)), (2, Interval(-1, 2))),
+            ((1, Interval(0, 1)), (2, Interval(-1, 1))),
+        )
+        assert m == (pair_snake, rows, cols) and hash(m) == hash((pair_snake, rows, cols))
+        assert repr(m) == (
+            "SnakeMatrix(snake=AlternatingSnake(n=2, intervals=(Interval(i=0, j=2), "
+            "Interval(i=-1, j=1)), breaks=(1, 2)), rows=(((1, Interval(i=0, j=2)), "
+            "(2, Interval(i=0, j=1))), ((1, Interval(i=-1, j=2)), (2, Interval(i=-1, j=1)))), "
+            "cols=(((1, Interval(i=0, j=2)), (2, Interval(i=-1, j=2))), "
+            "((1, Interval(i=0, j=1)), (2, Interval(i=-1, j=1)))))"
+        )
+        for name in m._fields:
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
 
     def test_long_connected_run_is_banded(self):
         s = AlternatingSnake.single_run([(-t, -t + 1) for t in range(1100)], 1)
@@ -429,7 +459,7 @@ class TestDetDimension:
             m = snake_matrix(s)
             perm = list(range(s.r))
             rng.shuffle(perm)
-            shuffled = SnakeMatrix(s, tuple(m.rows[p] for p in perm))
+            shuffled = corpus.matrix_from_rows(s, tuple(m.rows[p] for p in perm))
             sign = corpus.by_inversions(tuple(perm))
             assert det_dimension(shuffled) == sign * det_dimension(m), str(s)
             assert det_dimension(shuffled) == det_laplace(shuffled).dimension(), str(s)
@@ -437,7 +467,7 @@ class TestDetDimension:
     def test_repeated_row_is_singular(self, example_one):
         m = snake_matrix(example_one)
         rows = m.rows
-        assert det_dimension(SnakeMatrix(example_one, (rows[0], rows[0], *rows[2:]))) == 0
+        assert det_dimension(corpus.matrix_from_rows(example_one, (rows[0], rows[0], *rows[2:]))) == 0
 
     def test_pair_value(self, pair_snake):
         # C(3,2) C(3,2) - C(3,1) C(3,3)
@@ -515,6 +545,39 @@ class TestMinorAndSplit:
         assert derived_snake(example_one, 1).intervals == example_one.segment(1, 4).intervals
         for p in (1, 2):
             assert minor_identity_holds(example_one, p)
+
+    @pytest.mark.parametrize(
+        "intervals, breaks, n, derived",
+        [
+            # r = 2: one interval is left, with break vector (1,)
+            ([[0, 2], [-1, 1]], [1, 2], 2, [([[-1, 1]], (1,)), ([[0, 1]], (1,))]),
+            # a first run of two: its break at 2 merges into r_0
+            (
+                [[0, 4], [-1, 1], [1, 2], [2, 3]],
+                [1, 2, 4],
+                5,
+                [([[-1, 1], [1, 2], [2, 3]], (1, 3)), ([[0, 1], [1, 2], [2, 3]], (1, 3))],
+            ),
+            # a first run of four: every break moves down one place
+            (
+                [[0, 7], [-1, 6], [-2, 5], [-3, 2], [0, 4]],
+                [1, 4, 5],
+                9,
+                [
+                    ([[-1, 6], [-2, 5], [-3, 2], [0, 4]], (1, 3, 4)),
+                    ([[0, 6], [-2, 5], [-3, 2], [0, 4]], (1, 3, 4)),
+                    ([[0, 6], [-1, 5], [-3, 2], [0, 4]], (1, 3, 4)),
+                    ([[0, 6], [-1, 5], [-2, 2], [0, 4]], (1, 3, 4)),
+                ],
+            ),
+        ],
+        ids=["r2", "first-run-of-two", "first-run-of-four"],
+    )
+    def test_derived_break_vectors(self, intervals, breaks, n, derived):
+        s = AlternatingSnake.build(intervals, breaks, n)
+        got = [derived_snake(s, p) for p in range(1, s.breaks[1] + 1)]
+        assert [([list(iv) for iv in d.intervals], d.breaks) for d in got] == derived
+        assert {d.n for d in got} == {n}
 
     def test_rank_one_vacuous(self):
         s = AlternatingSnake.build([[0, 2]], [1], 3)

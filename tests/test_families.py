@@ -36,6 +36,18 @@ class TestMuLambda:
             snake_from_mu_lambda([0, 1], [3, 2], 2)  # n + 1 = lam1 - mu1
         assert exc.value.chain == "length"
 
+    def test_negative_length_past_digit_limit(self):
+        # lam_1 - mu_1 = -10^5000 has too many digits to write; the message keeps its sign
+        with pytest.raises(FamilyConstraintError) as exc:
+            snake_from_mu_lambda([10**5000], [0], -(10**6000))
+        assert (exc.value.chain, str(exc.value)) == ("length", "need n + 1 > lam_1 - mu_1 = at most -10^4999")
+
+    def test_float_breaks_not_rounded(self):
+        with pytest.raises(ValueError, match="1.7"):
+            nested_prime_snake([1.7], [0], [1])
+        with pytest.raises(ValueError, match="not True$"):
+            nested_prime_snake([True], [0], [1])
+
     @pytest.mark.parametrize(
         "mu, lam, n, chain, index",
         [

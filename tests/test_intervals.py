@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -76,3 +77,12 @@ class TestValueType:
         iv = Interval(-2, 3)
         assert as_interval(iv) is iv
         assert as_interval([-2, 3]) == iv and type(as_interval((-2, 3))) is Interval
+
+    @pytest.mark.parametrize(
+        "value",
+        [(0, 2.9), [0, True], (False, 1), ("0", 1), Interval(0, 2.9), (0, 1, 2), (0,), 5, None, "01"],
+    )
+    def test_as_interval_takes_only_a_pair_of_ints(self, value):
+        # no rounding toward zero, no bool, no numeric string
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            as_interval(value)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +329,19 @@ class TestJson:
     def test_shape(self):
         x = w([(1, 2, 1), (0, 2, 1)], 3)
         assert x.to_json() == {"n": 3, "gens": [[0, 2, 1], [1, 2, 1]]}
+
+    @pytest.mark.parametrize(
+        "data, bad",
+        [
+            ({"n": 2, "gens": [[0, 1.9, True]]}, "1.9"),
+            ({"n": 2, "gens": [[0, 1, True]]}, "True"),
+            ({"n": 2.5, "gens": [[0, 1, 1]]}, "2.5"),
+            ({"n": "2", "gens": []}, "'2'"),
+        ],
+    )
+    def test_non_integers_refused(self, data, bad):
+        with pytest.raises(ValueError, match=f"must be integers, not {re.escape(bad)}$"):
+            LWeight.from_json(data)
 
 
 class TestValueType:

@@ -163,6 +163,19 @@ class TestJson:
         assert back == x
         assert json.dumps(back.to_json(), sort_keys=True) == blob
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 3, "terms": [{"coeff": 1.5, "mono": [[0, 2, 1]]}]},
+            {"n": 3, "terms": [{"coeff": True, "mono": [[0, 2, 1]]}]},
+            {"n": 3, "terms": [{"coeff": 1, "mono": [[0, 2.0, 1]]}]},
+            {"n": 3.0, "terms": []},
+        ],
+    )
+    def test_non_integers_refused(self, data):
+        with pytest.raises(ValueError, match="must be integers"):
+            RingElement.from_json(data)
+
     def test_negative_multiplicity_rejected(self):
         data = {"n": 3, "terms": [{"coeff": 1, "mono": [[0, 2, 1], [1, 3, -1]]}]}
         with pytest.raises(ValueError):

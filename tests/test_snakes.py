@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -109,9 +110,55 @@ class TestValidation:
             AlternatingSnake.build([[0, 2], [0, 2]], [1, 2], 2)
         assert exc.value.diagnostics[0].code == "alt-1"
 
+    def test_diagnostic_is_a_read_only_tuple(self):
+        d = diagnose([[0, 2], [0, 2]], [1, 2], 2)[0]
+        fields = ("alt-1", (1, 2), "positions 1 and 2 carry the same interval")
+        assert d == fields and hash(d) == hash(fields)
+        assert repr(d) == (
+            "Diagnostic(code='alt-1', positions=(1, 2), "
+            "message='positions 1 and 2 carry the same interval')"
+        )
+        for name in d._fields:
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+        assert d.to_json() == {"code": "alt-1", "positions": [1, 2], "message": fields[2]}
+
     def test_singleton_breaks(self):
         s = AlternatingSnake.build([[0, 2]], [1], 3)
         assert s.k == 0 and s.directions == ()
+
+
+class TestIntegerInput:
+    """Intervals, breaks and n are ints: nothing is rounded, and no bool or string passes."""
+
+    @pytest.mark.parametrize(
+        "intervals, breaks, n, bad",
+        [
+            ([[0, 2.9]], [1], 2, "[0, 2.9]"),
+            ([[0, True]], [1], 2, "[0, True]"),
+            ([["0", 2]], [1], 2, "['0', 2]"),
+            ([[0, 2]], [1.7], 2, "1.7"),
+            ([[0, 2]], [True], 2, "True"),
+            ([[0, 2], [-1, 1]], [1, 2.0], 2, "2.0"),
+            ([[0, 2]], [1], 2.5, "2.5"),
+            ([[0, 2]], [1], True, "True"),
+            ([[0, 2]], [1], "2", "'2'"),
+        ],
+    )
+    def test_build_refuses_non_integers(self, intervals, breaks, n, bad):
+        for f in (diagnose, AlternatingSnake.build):
+            with pytest.raises(ValueError, match=f"not {re.escape(bad)}$") as exc:
+                f(intervals, breaks, n)
+            assert not isinstance(exc.value, InvalidSnakeError)
+
+    @pytest.mark.parametrize(
+        "key, value, bad",
+        [("n", 2.5, "2.5"), ("n", True, "True"), ("breaks", [1.7], "1.7"), ("intervals", [[0, 2.9]], "[0, 2.9]")],
+    )
+    def test_from_json_refuses_non_integers(self, key, value, bad):
+        data = {"n": 2, "intervals": [[0, 2]], "breaks": [1], key: value}
+        with pytest.raises(ValueError, match=f"not {re.escape(bad)}$"):
+            AlternatingSnake.from_json(data)
 
 
 class TestSegments:
@@ -206,6 +253,34 @@ class TestPredicates:
 
     def test_connected_singleton(self):
         assert AlternatingSnake.build([[0, 2]], [1], 3).is_connected()
+
+
+def paper_prime_criterion(s: AlternatingSnake) -> bool:
+    """Every neighbouring pair connected, and no inner break whose outer intervals share an endpoint."""
+    if not all(is_connected_pair(a, b, s.n) for a, b in zip(s.intervals, s.intervals[1:])):
+        return False
+    for rm in s.breaks[1:-1]:
+        lo, hi = s.interval(rm - 1), s.interval(rm + 1)
+        if lo.i == hi.i or lo.j == hi.j:
+            return False
+    return True
+
+
+class TestPrimeCriterion:
+    """``is_prime`` is "no cut positions"; the paper's criterion is written out as its oracle."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(5)
+        snakes = []
+        while len(snakes) < 5000:
+            try:
+                snakes.append(AlternatingSnake.build(*corpus.random_shape(rng)))
+            except InvalidSnakeError:
+                pass
+        got = [s.is_prime() for s in snakes]
+        assert got == [paper_prime_criterion(s) for s in snakes]
+        kinds = {(p, s.is_stable()) for p, s in zip(got, snakes)}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestPrimeDecomposition:
