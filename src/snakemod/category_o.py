@@ -12,12 +12,18 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Sequence
 
 from .determinant import signed_sum, snake_matrix
 from .errors import UnsupportedSnakeError
 from .intervals import Interval
 from .snakes import AlternatingSnake
+
+# a key reads (label, multiplicity) pairs, and a label is the interval (i, j)
+_label = _lower = itemgetter(0)
+_mult = _upper = itemgetter(1)
 
 
 def sorting_permutation(s: AlternatingSnake) -> tuple[int, ...]:
@@ -56,13 +62,18 @@ class KLTable:
         return dict(self.rows)
 
 
-def nu_key(ivs: tuple[Interval, ...]) -> tuple[int, ...]:
-    """The nu + rho row of an assignment's labels.
+def nu_key(pairs: tuple[tuple[Interval, int], ...]) -> tuple[int, ...]:
+    """The nu + rho row of an assignment's labels, given as (label,
+    multiplicity) pairs sorted by label.
 
     Every assignment uses each upper endpoint once, so sorting its labels as
-    the snake's intervals are sorted pairs them with lambda.
+    the snake's intervals are sorted pairs them with lambda.  The sort on
+    upper endpoints is stable, so a tie keeps its lower endpoints increasing.
     """
-    return tuple(iv.i for iv in sorted(ivs, key=lambda iv: (-iv.j, iv.i)))
+    labels = map(_label, pairs)
+    if max(map(_mult, pairs)) > 1:
+        labels = chain.from_iterable(map(repeat, labels, map(_mult, pairs)))
+    return tuple(map(_lower, sorted(labels, key=_upper, reverse=True)))
 
 
 def kl_table(s: AlternatingSnake) -> KLTable:

@@ -11,10 +11,13 @@ expanded over standard module classes.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, product
-from math import comb, prod
+from functools import partial
+from itertools import compress
+from math import comb
+from operator import getitem, itemgetter, neg
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -25,6 +28,8 @@ from .snakes import LEFT, RIGHT, AlternatingSnake
 
 # signed_sum's time and memory follow its steps, not the assignment count
 DET_MAX_STEPS = 2_500_000
+
+_label = itemgetter(0)
 
 
 class SnakeMatrix(NamedTuple):
@@ -236,14 +241,13 @@ def nonzero_permutations(m: SnakeMatrix) -> list[tuple[int, ...]]:
     return [tuple(c[0] for c in leaf) for leaf in _assignments(m)]
 
 
-def _blocks(m: SnakeMatrix) -> Iterator[tuple[int, tuple]]:
+def _blocks(cand: list) -> Iterator[tuple[int, list]]:
     """The slots cut into the matrix's diagonal blocks.
 
     A block ends at the first slot b where no slot since the last cut has a
     candidate past b.  Yields each block's slots after the number of slots
     before it, whose indices they use up.
     """
-    cand = _slots(m)
     start = hi = 0
     for b, line in enumerate(cand, 1):
         hi = max(hi, line[-1][0]) if line else hi
@@ -259,84 +263,152 @@ def _over_budget() -> UnsupportedSnakeError:
     )
 
 
-def _sweep(start: int, block: tuple, budget: int) -> tuple[dict, int, int]:
+def _sweep(start: int, block: list, budget: int) -> tuple[dict, int, int]:
     """One sweep over a block's slots, merged on the indices used.
 
-    Each bitmask of used indices keeps its assignments' count and their
-    signed sum per sorted tuple of labels.  Indices 1..start, which the
-    earlier blocks take, start out used.  Placing x flips the sign once per
-    larger index already used; a mask is dropped when it misses an index
-    whose last candidate slot has passed, and a label tuple when its sum is
-    zero.  Returns the sums, the count and the steps taken (candidates tried
-    plus labels written), refusing once they pass ``budget``.
+    A slot's candidates are (index, unit) pairs, the unit adding one to its
+    label's count in a multiplicity code (see ``signed_sum``).  Each bitmask
+    of used indices keeps its assignments' count and their signed sum per
+    code.  Indices 1..start, which the earlier blocks take, start out used.
+    Placing x flips the sign once per larger index already used; a mask is
+    dropped when it misses an index whose last candidate slot has passed,
+    and a code when its sum is zero.  Returns the sums, the count and the
+    steps taken (candidates tried plus labels written), refusing once they
+    pass ``budget``.
     """
     last = {x: b for b, line in enumerate(block) for x, _ in line}
     passed = [0] * len(block)  # per slot, the indices whose last candidate it is
     for x, b in last.items():
         passed[b] |= 1 << x
-    states: dict[int, list] = {(1 << start + 1) - 2: [{(): 1}, 1]}
+    states: dict[int, list] = {(1 << start + 1) - 2: [{0: 1}, 1]}
     need = steps = 0
     for size, (line, done) in enumerate(zip(block, passed), 1):
         need |= done
         nxt: dict[int, list] = {}
         for used, (terms, count) in states.items():
             steps += len(line)
-            for x, iv in line:
+            for x, unit in line:
                 mask = used | 1 << x
                 if mask == used or mask & need != need:
                     continue
-                slot = nxt.get(mask)
-                if slot is None:
-                    slot = nxt[mask] = [{}, 0]
-                slot[1] += count
                 steps += len(terms) * size
                 if steps > budget:
                     raise _over_budget()
-                acc, odd = slot[0], (used >> x).bit_count() & 1
-                for labels, c in terms.items():
-                    k = bisect_left(labels, iv)
-                    t = (*labels[:k], iv, *labels[k:])
-                    c = acc.get(t, 0) + (-c if odd else c)
+                odd = (used >> x).bit_count() & 1
+                slot = nxt.get(mask)
+                if slot is None:
+                    # distinct codes stay distinct when one unit is added to each
+                    signed = map(neg, terms.values()) if odd else terms.values()
+                    nxt[mask] = [dict(zip(map(unit.__add__, terms), signed)), count]
+                    continue
+                slot[1] += count
+                acc = slot[0]
+                for code, c in terms.items():
+                    code += unit
+                    c = acc.get(code, 0) + (-c if odd else c)
                     if c:
-                        acc[t] = c
+                        acc[code] = c
                     else:
-                        del acc[t]
+                        del acc[code]
         states = nxt
     terms, count = states.get((1 << start + len(block) + 1) - 2, ({}, 0))
     return terms, count, steps
 
 
-def signed_sum(m: SnakeMatrix, key: Callable[[tuple[Interval, ...]], Hashable]) -> tuple[dict, int]:
+def signed_sum(
+    m: SnakeMatrix, key: Callable[[tuple[tuple[Interval, int], ...]], Hashable]
+) -> tuple[dict, int]:
     """Signs of the nonzero assignments summed under ``key`` of their labels.
 
-    ``key`` must depend on the label multiset only: it sees each surviving
-    multiset once, as the concatenation of one sorted tuple per block.
+    ``key`` sees each surviving label multiset once, as its (label,
+    multiplicity) pairs sorted by label; equal pairs are one shared object.
     Returns the nonzero sums and the number of assignments.  Refuses with
     UnsupportedSnakeError when the sweeps and the labels handed to ``key``
     come to more than DET_MAX_STEPS steps.
+
+    The sweeps key a multiset by one int, its multiplicity code: the labels
+    are numbered as the sweep meets them, and label k's multiplicity fills
+    field k of ``width`` bytes.  A block counts its fields from its lowest
+    label, so its codes span only its own labels, and the blocks combine by
+    adding codes, neighbours first, so that only the last sums span the
+    whole matrix.
     """
-    labels: list[list[tuple[Interval, ...]]] = []
-    coeffs: list[list[int]] = []
-    count, steps = 1, 0
-    for start, block in _blocks(m):
-        terms, c, taken = _sweep(start, block, DET_MAX_STEPS - steps)
-        labels.append(list(terms))
-        coeffs.append(list(terms.values()))
+    # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
+    width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
+    # per label, its field at index 0, then (label, e) at index e for e up to
+    # the cells carrying it, which bound its multiplicity
+    tables: dict[Interval, list] = {}
+    parts: list[tuple[int, dict[int, int]]] = []  # per block, its lowest field and its sums
+    count, combos, steps = 1, 1, 0
+    bits = 8 * width
+    for start, block in _blocks(_slots(m)):
+        first = low = len(tables)
+        coded = []
+        for line in block:
+            row = []
+            for x, iv in line:
+                table = tables.get(iv)
+                if table is None:
+                    table = tables[iv] = [len(tables)]
+                elif table[0] < low:  # an earlier block carries it too
+                    low = table[0]
+                table.append((iv, len(table)))
+                row.append((x, 1 << bits * (table[0] - low)))
+            coded.append(row)
+        if low < first:  # the units made before low fell are off, so make them all again
+            coded = [[(x, 1 << bits * (tables[iv][0] - low)) for x, iv in line] for line in block]
+        terms, c, taken = _sweep(start, coded, DET_MAX_STEPS - steps)
+        parts.append((low, terms))
         count *= c
+        combos *= len(terms)
         steps += taken
-    if steps + prod(map(len, labels)) * m.size > DET_MAX_STEPS:
+    if steps + combos * m.size > DET_MAX_STEPS:
         raise _over_budget()
+    while len(parts) > 1:  # join neighbours, carrying an odd one over
+        joined = [_joined(a, b, bits) for a, b in zip(parts[::2], parts[1::2])]
+        parts = joined + parts[len(joined) * 2 :]
+    sums = parts[0][1]  # its lowest field is the first block's, 0
+    shared = list(map(tables.__getitem__, sorted(tables)))
+    # one field more than the labels, always zero, so that pick returns a tuple
+    # however many labels there are; to_bytes puts field k at element k of a
+    # little-endian machine's bytes and at element len(shared) - k of a big-endian one
+    fields = [table[0] for table in shared]
+    fields.append(len(shared))
+    byteorder = sys.byteorder
+    pick = itemgetter(*(fields if byteorder == "little" else [len(shared) - k for k in fields]))
+    size, fmt = (len(shared) + 1) * width, "BHIQ"[width.bit_length() - 1]
     acc: dict = {}
-    for parts, cs in zip(product(*labels), product(*coeffs)):
-        k = key(tuple(chain.from_iterable(parts)))
-        acc[k] = acc.get(k, 0) + prod(cs)
+    for code, c in sums.items():
+        counts = code.to_bytes(size, byteorder)
+        mults = pick(memoryview(counts).cast(fmt) if width > 1 else counts)
+        k = key(tuple(map(getitem, compress(shared, mults), compress(mults, mults))))
+        acc[k] = acc.get(k, 0) + c
     return {k: c for k, c in acc.items() if c}, count
 
 
-def _label_weight(m: SnakeMatrix) -> Callable[[tuple[Interval, ...]], LWeight]:
+def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, dict]:
+    """Two blocks' signed sums added code by code, each code moved from its
+    block's lowest field to the lower of the two (``bits`` to a field)."""
+    low = min(a[0], b[0])
+    up_a, up_b = bits * (a[0] - low), bits * (b[0] - low)
+    out: dict[int, int] = {}
+    for x, c in a[1].items():
+        x <<= up_a
+        for y, d in b[1].items():
+            z = x + (y << up_b)
+            out[z] = out.get(z, 0) + c * d
+    return low, out
+
+
+def _label_weight(m: SnakeMatrix) -> Callable[[tuple[tuple[Interval, int], ...]], LWeight]:
     n = m.snake.n
-    pair = {iv: (iv, 1) for row in m.rows for _, iv in row}
-    return lambda ivs: LWeight.from_generators(map(pair.__getitem__, ivs), n)
+    labels = {iv for row in m.rows for _, iv in row}
+    interior = {iv for iv in labels if 0 < iv.j - iv.i <= n}
+    if interior == labels:
+        return partial(LWeight, n)
+    # boundary labels stand for the identity generator
+    keep = interior.__contains__
+    return lambda pairs: LWeight(n, tuple(compress(pairs, map(keep, map(_label, pairs)))))
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:

@@ -188,13 +188,16 @@ class AlternatingSnake:
         return LWeight.from_generators(((iv, 1) for iv in self.intervals), self.n)
 
     def segment(self, p: int, q: int) -> "AlternatingSnake":
-        """The sub-snake on positions p+1..q with the induced break vector."""
+        """The sub-snake on positions p+1..q with the induced break vector.
+
+        Its runs are stretches of this snake's runs and its breaks some of
+        this snake's breaks, so it is valid and is built without checking again.
+        """
         if not 0 <= p < q <= self.r:
             raise IndexError(f"segment ({p}, {q}) out of range for r = {self.r}")
-        ivs = self.intervals[p:q]
         inner = [b - p for b in self.breaks if p + 1 < b < q]
         breaks = (1, *inner, q - p) if q - p > 1 else (1,)
-        return AlternatingSnake.build(ivs, breaks, self.n)
+        return AlternatingSnake(self.n, self.intervals[p:q], breaks)
 
     def reverse(self) -> "AlternatingSnake":
         """The same interval multiset read right to left (equal weight)."""

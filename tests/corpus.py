@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations, product
@@ -189,7 +190,8 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
 
     The oracle for the column sweep: each assignment's labels are looked up
     cell by cell and its sign is the parity of its inversions, counted here,
-    so no parity or merging is shared with the sweep.
+    so no parity or merging is shared with the sweep.  ``key`` gets the
+    labels' (label, multiplicity) pairs sorted by label, counted here too.
     """
     cells = {(p, l): iv for p, row in enumerate(m.rows, 1) for l, iv in row}
     left = m.snake.first_direction() == LEFT
@@ -197,7 +199,7 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
     count = 0
     for sigma in nonzero_permutations(m):
         pairs = [(x, slot) if left else (slot, x) for slot, x in enumerate(sigma, 1)]
-        k = key(tuple(cells[pair] for pair in pairs))
+        k = key(tuple(sorted(Counter(cells[pair] for pair in pairs).items())))
         acc[k] = acc.get(k, 0) + by_inversions(sigma)
         count += 1
     return {k: c for k, c in acc.items() if c}, count

@@ -8,12 +8,15 @@ import corpus
 import kl_oracle
 from snakemod import (
     AlternatingSnake,
+    Interval,
     UnsupportedSnakeError,
+    diagnose,
     highest_weight_pair,
     is_dominant_vector,
     kl_table,
     sorting_permutation,
 )
+from snakemod.category_o import nu_key
 
 
 @pytest.fixture
@@ -105,6 +108,13 @@ class TestKLTable:
             ((-1, -2, -2, 0), -1),
             ((-1, -2, 0, -2), 1),
         )
+
+    def test_nu_key_reads_sorted_pairs(self):
+        # upper endpoints falling, lower endpoints rising within a tie, each
+        # label repeated by its multiplicity
+        pairs = ((Interval(0, 3), 1), (Interval(1, 3), 2), (Interval(2, 5), 1))
+        assert nu_key(pairs) == (2, 0, 1, 1)
+        assert nu_key(pairs[::2]) == (2, 0)
 
     def test_nested_family_values(self):
         rng = random.Random(157)
@@ -209,19 +219,19 @@ class TestKLOracle:
         assert set(nontrivial.values()) == {(1, 1)}
         assert {w for _, w in nontrivial} == {(2, 3, 0, 1), (3, 1, 2, 0)}
         assert sum(len(row) for row in polys.values()) == 213  # Bruhat intervals of S_4
+        # the rows found by lifting hold exactly the x below w by the tableau criterion
+        for w, row in polys.items():
+            assert set(row) == {x for x in polys if kl_oracle.bruhat_leq(x, w)}
 
-    def test_corpora_agree_with_kl_theory(self):
-        # exact where lambda + rho is regular; otherwise after summing nu over
-        # the tied positions of lambda, each sum on its nu_key representative
-        snakes = (
-            corpus.stable_corpus(11, 400, r_cap=5)
-            + corpus.prime_stable_corpus(12, 300)
-            + corpus.nonprime_stable_corpus(13, 300)
-        )
+    @staticmethod
+    def agree_with_kl_theory(snakes):
+        """Check each table; return how many had regular and tied lambda + rho.
+
+        Exact where lambda + rho is regular; otherwise after summing nu over
+        the tied positions of lambda, each sum on its nu_key representative.
+        """
         exact = tied = 0
         for s in snakes:
-            if s.r > 5 or not _kl_corpus_fits(s):
-                continue
             table = kl_table(s)
             lam, got = table.lambda_plus_rho, table.as_dict()
             want = kl_oracle.verma_multiplicities(table.mu_plus_rho)
@@ -232,7 +242,24 @@ class TestKLOracle:
             else:
                 assert got == _orbit_sums(want, lam)
                 tied += 1
+        return exact, tied
+
+    def test_corpora_agree_with_kl_theory(self):
+        snakes = (
+            corpus.stable_corpus(11, 400, r_cap=5)
+            + corpus.prime_stable_corpus(12, 300)
+            + corpus.nonprime_stable_corpus(13, 300)
+        )
+        exact, tied = self.agree_with_kl_theory(
+            s for s in snakes if s.r <= 5 and _kl_corpus_fits(s)
+        )
         assert exact >= 300 and tied >= 3
+
+    def test_rank_six_slice_agrees_with_kl_theory(self):
+        # S_6, whose polynomials the oracle computes only for the w the tables need
+        snakes = _rank_six_corpus(6, 60)
+        exact, tied = self.agree_with_kl_theory(snakes)
+        assert exact >= 50 and tied >= 1 and any(s.k > 1 for s in snakes)
 
     def test_mu_lambda_coefficients_are_units_in_kl_theory(self):
         # the paper's claim, checked against category O rather than the determinant
@@ -266,4 +293,27 @@ def _kl_corpus(seed, count):
             s = corpus.random_single_run(rng, rng.randint(2, 8), rng.randint(1, 4))
         if _kl_corpus_fits(s):
             out.append(s)
+    return out
+
+
+def _rank_six_corpus(seed, count):
+    """Stable snakes of six intervals at the least rank where ``kl_table`` applies."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        breaks = [1, *sorted(rng.sample(range(2, 6), rng.randint(0, 4))), 6]
+        i, j = 0, rng.randint(3, 8)
+        ivs = [(i, j)]
+        d = rng.choice((1, -1))
+        for lo, hi in zip(breaks, breaks[1:]):
+            for _ in range(lo, hi):
+                i += d * rng.randint(1, 2)
+                j += d * rng.randint(1, 2)
+                ivs.append((i, j))
+            d = -d
+        n = max(j for _, j in ivs) - min(i for i, _ in ivs) - 1
+        if not diagnose(ivs, breaks, n):
+            s = AlternatingSnake.build(ivs, breaks, n)
+            if s.is_stable() and _kl_corpus_fits(s):
+                out.append(s)
     return out

@@ -187,13 +187,13 @@ class TestSegments:
             example_one.interval(p)
 
     def test_random_segments_validate(self):
-        snakes = corpus.stable_corpus(17, 40)
-        rng = random.Random(17)
-        for s in snakes:
-            p = rng.randint(0, s.r - 1)
-            q = rng.randint(p + 1, s.r)
-            seg = s.segment(p, q)  # would raise if invalid
-            assert seg.r == q - p
+        # segment does not check its result, so every stretch is checked here
+        for s in corpus.stable_corpus(17, 40) + corpus.nonprime_stable_corpus(18, 40):
+            for p in range(s.r):
+                for q in range(p + 1, s.r + 1):
+                    seg = s.segment(p, q)
+                    assert seg.r == q - p
+                    assert diagnose(seg.intervals, seg.breaks, seg.n) == []
 
 
 class TestReverseAndMirror:
@@ -332,7 +332,8 @@ class TestPrimeDecomposition:
         with pytest.raises(IndexError):
             example_one.within_prime_factor(lo, hi)
 
-    def test_validates_each_position_once(self, monkeypatch):
+    def test_validates_no_factor_again(self, monkeypatch):
+        # a stretch of a valid snake is valid, so segment builds each factor unchecked
         r = 200
         runs = [
             AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3),
@@ -348,10 +349,10 @@ class TestPrimeDecomposition:
 
         monkeypatch.setattr(snakes_module, "diagnose", counting)
         for s in runs:
-            validated.clear()
             factors = s.prime_factors()
             assert len(factors) > 1
-            assert sum(validated) == s.r
+            assert sum(f.r for f in factors) == s.r
+        assert validated == []
 
     def test_scan_matches_first_cut_recursion(self):
         for s in corpus.stable_corpus(47, 150) + corpus.nonprime_stable_corpus(53, 150):

@@ -104,6 +104,8 @@ def test_instrument_records_spans_and_restores(tracing):
         category_o.kl_table(pair)
         determinant.standard_expansion(pair).as_ring_element()
         paths.snake_dimension(pair)
+        # the expansion builds its weights without from_generators, which the snake's weight uses
+        s.weight()
     names = {span[3] for span in tracer.spans}
     assert {
         "determinant.standard_expansion",
