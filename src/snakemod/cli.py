@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 from . import __version__
 from .determinant import det_laplace, snake_matrix, standard_expansion
@@ -137,7 +138,7 @@ def cmd_character(data, args) -> dict:
             f"character would enumerate {_count(dim)} path tuples of {_count(steps)} layers and "
             f"down steps each, {_count(dim * steps)} in all; the limit is {CHARACTER_MAX_STEPS}"
         )
-    weights = sorted(ell_weights(s))
+    weights = sorted(ell_weights(s), key=attrgetter("gens"))
     return {
         "snake": s.to_json(),
         "dim": dim,

@@ -486,7 +486,8 @@ def standard_expansion(s: AlternatingSnake) -> StandardExpansion:
         raise UnsupportedSnakeError(f"{s} is not stable; the expansion is not defined")
     m = snake_matrix(s)
     sums, count = signed_sum(m, _label_weight(m))
-    terms = tuple(sorted(sums.items()))
+    # one n and distinct weights: gens alone give the order, without comparing each n
+    terms = tuple(sorted(sums.items(), key=lambda term: term[0].gens))
     return StandardExpansion(s, terms, count)
 
 

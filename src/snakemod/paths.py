@@ -13,14 +13,10 @@ explicit paths as oracles.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain, count
-from operator import itemgetter
-
 from .determinant import det_dimension, snake_matrix, walk
 from .errors import UnsupportedSnakeError
 from .intervals import Interval
-from .lweight import LWeight, _normalize
+from .lweight import LWeight
 from .snakes import LEFT, AlternatingSnake
 
 
@@ -41,29 +37,40 @@ def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int
     return out
 
 
-def _stacked_downs(intervals, n):
-    """Every strictly stacked path tuple of a descending run, as down-step sets.
+def _stacked_children(intervals, n, label):
+    """The paths of each layer strictly below a path of the layer above.
 
-    Top layer first, in the lexicographic order of the down-step sets.  With
+    ``children(t, above)`` lists the down-step sets of layer t that lie
+    strictly below the down-step set ``above`` of layer t - 1 (below nothing
+    when t = 0), in lexicographic order, each paired with ``label(t, downs)``.
+    Lists are kept per (t, above); ``label`` runs once per layer path, and
+    its (downs, label) pair is shared by every list holding it.  With
     d = j_t - j_{t+1} >= 1 and i_t > i_{t+1}, the path D' of layer t+1 lies
     strictly below the path D of layer t exactly when D'[m] <= D[m + d - 1]
     wherever the right side exists.  The lowest down-step set always
-    qualifies, so neither walk dead-ends and the cost follows the output.
+    qualifies, so no walk dead-ends and the cost follows the output.
     """
     memo: dict = {}
+    labels: list[dict] = [{} for _ in intervals]
 
-    def children(prefix):
-        t, above = len(prefix), prefix[-1] if prefix else ()
+    def labelled(t, downs):
+        known = labels[t]
+        if downs not in known:
+            known[downs] = downs, label(t, downs)
+        return known[downs]
+
+    def children(t, above):
         if (t, above) not in memo:
             length = intervals[t].length
             # D'[m] <= D[m + d - 1], leaving room for the down steps after m
             bound = above[intervals[t - 1].j - intervals[t].j - 1 :] if t else ()
             caps = [min(n - length + 1 + m, bound[m] if m < len(bound) else n) for m in range(length)]
             steps = lambda pre: range(pre[-1] + 1 if pre else 0, caps[len(pre)] + 1)
-            memo[t, above] = list(walk(length, steps)) if length else [()]
+            layer = walk(length, steps) if length else [()]
+            memo[t, above] = [labelled(t, downs) for downs in layer]
         return memo[t, above]
 
-    return walk(len(intervals), children)
+    return children
 
 
 def _as_left_run(s: AlternatingSnake):
@@ -77,15 +84,40 @@ def _as_left_run(s: AlternatingSnake):
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs, _ = _as_left_run(s)
-    corners = cache(lambda t, downs: _normalize(_corners(downs, ivs[t].j, s.n), s.n))
+    n, last = s.n, len(ivs) - 1
+    # A corner [i, j] of layer t has i_t <= i and j_t <= j <= i_t + n + 1, so
+    # 0 <= j - lo < span and (i - lo) * span + (j - lo) sorts like [i, j].
+    # Doubled, plus one for a minimum, it is the corner's code.
+    lo = min(iv.i for iv in ivs)
+    span = max(iv.i for iv in ivs) + n + 2 - lo
+    pair_of: dict[int, tuple[Interval, int]] = {}
+
+    def codes(t, downs):
+        out = []
+        for pair in _corners(downs, ivs[t].j, n):
+            iv, e = pair
+            code = ((iv.i - lo) * span + iv.j - lo) * 2 + (e > 0)
+            pair_of.setdefault(code, pair)
+            out.append(code)
+        return sorted(out)
+
+    children = _stacked_children(ivs, n, codes)
+    gens = pair_of.__getitem__
+    weights: set[LWeight] = set()
     # A corner [i, j] is the point (j - i, i + j) of its path, and strictly
     # stacked paths share no point, so no two layers share a corner: the
-    # weight is the sorted union of the layers' normalised corners.
-    by_interval = itemgetter(0)
-    return {
-        LWeight(s.n, tuple(sorted(chain.from_iterable(map(corners, count(), stack)), key=by_interval)))
-        for stack in _stacked_downs(ivs, s.n)
-    }
+    # weight is the sorted union of the layers' corners.  Each node of the
+    # walk holds the merged codes of the layers above it.  The gens tuple is
+    # copied from a list, which sizes it exactly; a tuple grown from an
+    # iterator keeps its larger first block.
+    nodes = [(0, (), [])]
+    while nodes:
+        t, above, prefix = nodes.pop()
+        if t == last:
+            weights.update([LWeight(n, tuple([*map(gens, sorted(prefix + c))])) for _, c in children(t, above)])
+        else:
+            nodes.extend((t + 1, downs, sorted(prefix + c)) for downs, c in children(t, above))
+    return weights
 
 
 def snake_dimension(s: AlternatingSnake) -> int:

@@ -20,9 +20,10 @@ from snakemod import (
     ell_weights,
     nonzero_permutations,
 )
+from snakemod.determinant import walk
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 from snakemod.lweight import _normalize
-from snakemod.paths import _as_left_run, _corners, _stacked_downs
+from snakemod.paths import _as_left_run, _corners, _stacked_children
 
 MAX_TRIES = 2000
 
@@ -78,6 +79,20 @@ def path_weight(path: LatticePath) -> LWeight:
     return LWeight.from_generators(
         [*((iv, 1) for iv in c.plus), *((iv, -1) for iv in c.minus)], path.n
     )
+
+
+def _stacked_downs(intervals, n):
+    """Every strictly stacked path tuple of a descending run, as down-step sets.
+
+    Top layer first, in the lexicographic order of the down-step sets, from
+    the library's stacking rule with no label on the layer paths.
+    """
+    children = _stacked_children(intervals, n, lambda t, downs: None)
+
+    def below(prefix):
+        return [downs for downs, _ in children(len(prefix), prefix[-1] if prefix else ())]
+
+    return walk(len(intervals), below)
 
 
 def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:

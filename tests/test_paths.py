@@ -196,7 +196,7 @@ class TestDimension:
         def counting(name, f):
             return lambda *args: built.append(name) or f(*args)
 
-        for name in ("_stacked_downs", "_corners"):
+        for name in ("_stacked_children", "_corners"):
             monkeypatch.setattr(paths, name, counting(name, getattr(paths, name)))
         assert snake_dimension(ladder(8)) == 7_997_986_868_872
         assert built == []
@@ -300,8 +300,35 @@ class TestCornerJoin:
             assert all(e in (1, -1) for w in ell_weights(s) for _, e in w.gens), str(s)
 
     def test_matches_summing_route(self):
-        for s in join_cases():
+        # the last two have corners past every upper endpoint j_t
+        cases = [
+            ladder(4).mirror(),
+            AlternatingSnake.single_run([[0, 1], [-1, 0]], 120),
+            AlternatingSnake.single_run([[0, 3]], 3),
+            AlternatingSnake.single_run([[1, 2], [2, 3], [3, 5], [4, 8]], 4),
+        ]
+        for s in join_cases() + cases:
             assert ell_weights(s) == corpus.summed_ell_weights(s), str(s)
+
+    def test_corners_once_per_layer_path(self, monkeypatch):
+        s = ladder(4)
+        calls = []
+        corners = paths._corners
+
+        def counting(downs, j, n):
+            calls.append((j, downs))
+            return corners(downs, j, n)
+
+        monkeypatch.setattr(paths, "_corners", counting)
+        weights = ell_weights(s)
+        layer_paths = {
+            (iv.j, downs)
+            for stack in corpus._stacked_downs(s.intervals, s.n)
+            for iv, downs in zip(s.intervals, stack)
+        }
+        assert len(weights) == 24_696
+        assert len(set(calls)) == len(calls) and set(calls) <= layer_paths
+        assert len(calls) < len(weights)
 
 
 class TestCrossOracle:

@@ -46,6 +46,7 @@ MOVED = [
     "_lattice_path",
     "corner_set",
     "path_weight",
+    "_stacked_downs",
     "noncrossing_tuples",
     "dominant_ell_weights",
     "permutation_sign",
