@@ -241,21 +241,6 @@ def nonzero_permutations(m: SnakeMatrix) -> list[tuple[int, ...]]:
     return [tuple(c[0] for c in leaf) for leaf in _assignments(m)]
 
 
-def _blocks(cand: list) -> Iterator[tuple[int, list]]:
-    """The slots cut into the matrix's diagonal blocks.
-
-    A block ends at the first slot b where no slot since the last cut has a
-    candidate past b.  Yields each block's slots after the number of slots
-    before it, whose indices they use up.
-    """
-    start = hi = 0
-    for b, line in enumerate(cand, 1):
-        hi = max(hi, line[-1][0]) if line else hi
-        if hi <= b:
-            yield start, cand[start:b]
-            start = b
-
-
 def _over_budget() -> UnsupportedSnakeError:
     return UnsupportedSnakeError(
         f"the signed sum would take more than {DET_MAX_STEPS} steps "
@@ -263,31 +248,69 @@ def _over_budget() -> UnsupportedSnakeError:
     )
 
 
-def _sweep(start: int, block: list, budget: int) -> tuple[dict, int, int]:
-    """One sweep over a block's slots, merged on the indices used.
+def signed_sum(
+    m: SnakeMatrix, key: Callable[[tuple[tuple[Interval, int], ...]], Hashable]
+) -> tuple[dict, int]:
+    """Signs of the nonzero assignments summed under ``key`` of their labels.
 
-    A slot's candidates are (index, unit) pairs, the unit adding one to its
-    label's count in a multiplicity code (see ``signed_sum``).  Each bitmask
-    of used indices keeps its assignments' count and their signed sum per
-    code.  Indices 1..start, which the earlier blocks take, start out used.
-    Placing x flips the sign once per larger index already used; a mask is
-    dropped when it misses an index whose last candidate slot has passed,
-    and a code when its sum is zero.  Returns the sums, the count and the
-    steps taken (candidates tried plus labels written), refusing once they
-    pass ``budget``.
+    ``key`` sees each surviving label multiset once, as its (label,
+    multiplicity) pairs sorted by label; equal pairs are one shared object.
+    Returns the nonzero sums and the number of assignments.  Refuses with
+    UnsupportedSnakeError when the sweep and the labels handed to ``key``
+    come to more than DET_MAX_STEPS steps.
+
+    A multiset is keyed by one int, its multiplicity code: the labels are
+    numbered as the slots meet them, and label k's multiplicity fills field
+    k of ``width`` bytes.  A first pass numbers the labels and cuts the
+    slots into the matrix's diagonal blocks: a block ends at the first slot
+    b where no slot since the last cut has a candidate past b.  Then one
+    sweep over the slots keeps, per bitmask of used indices, its
+    assignments' count and their signed sum per code, counted from the
+    block's lowest field.  Placing x flips the sign once per larger index
+    already used; a mask is dropped when it misses an index whose last
+    candidate slot in its block has passed, and a code when its sum is
+    zero.  At a block's end the sweep keeps the block's sums and goes on
+    from the one full mask, and the blocks combine by adding codes,
+    neighbours first, so that only the last sums span the whole matrix.
     """
-    last = {x: b for b, line in enumerate(block) for x, _ in line}
-    passed = [0] * len(block)  # per slot, the indices whose last candidate it is
-    for x, b in last.items():
-        passed[b] |= 1 << x
-    states: dict[int, list] = {(1 << start + 1) - 2: [{0: 1}, 1]}
-    need = steps = 0
-    for size, (line, done) in enumerate(zip(block, passed), 1):
-        need |= done
+    # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
+    width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
+    bits = 8 * width
+    # per label, its field at index 0, then (label, e) at index e for e up to
+    # the cells carrying it, which bound its multiplicity
+    tables: dict[Interval, list] = {}
+    cand = _slots(m)
+    last = [0] * (m.size + 1)  # per index, the last slot of its own block listing it
+    ends = []  # per block, its last slot and its lowest field
+    start = hi = low = 0
+    for b, line in enumerate(cand, 1):
+        for x, iv in line:
+            table = tables.get(iv)
+            if table is None:
+                table = tables[iv] = [len(tables)]
+            elif table[0] < low:  # an earlier block carries it too
+                low = table[0]
+            table.append((iv, len(table)))
+            if x > start:  # indices up to start belong to the earlier blocks
+                last[x] = b
+        hi = max(hi, line[-1][0]) if line else hi
+        if hi <= b:
+            ends.append((b, low))
+            start, low = b, len(tables)
+    parts: list[tuple[int, dict[int, int]]] = []  # per block, its lowest field and its sums
+    count, combos, steps, budget = 1, 1, 0, DET_MAX_STEPS
+    states: dict[int, list] = {0: [{0: 1}, 1]}
+    need = start = 0
+    blocks = iter(ends)
+    end, low = next(blocks)
+    for b, line in enumerate(cand, 1):
+        need |= sum(1 << x for x, _ in line if last[x] == b)
+        units = [(x, 1 << bits * (tables[iv][0] - low)) for x, iv in line]
+        size = b - start  # the slots placed so far in the block
         nxt: dict[int, list] = {}
-        for used, (terms, count) in states.items():
-            steps += len(line)
-            for x, unit in line:
+        for used, (terms, ways) in states.items():
+            steps += len(units)
+            for x, unit in units:
                 mask = used | 1 << x
                 if mask == used or mask & need != need:
                     continue
@@ -299,9 +322,9 @@ def _sweep(start: int, block: list, budget: int) -> tuple[dict, int, int]:
                 if slot is None:
                     # distinct codes stay distinct when one unit is added to each
                     signed = map(neg, terms.values()) if odd else terms.values()
-                    nxt[mask] = [dict(zip(map(unit.__add__, terms), signed)), count]
+                    nxt[mask] = [dict(zip(map(unit.__add__, terms), signed)), ways]
                     continue
-                slot[1] += count
+                slot[1] += ways
                 acc = slot[0]
                 for code, c in terms.items():
                     code += unit
@@ -311,58 +334,15 @@ def _sweep(start: int, block: list, budget: int) -> tuple[dict, int, int]:
                     else:
                         del acc[code]
         states = nxt
-    terms, count = states.get((1 << start + len(block) + 1) - 2, ({}, 0))
-    return terms, count, steps
-
-
-def signed_sum(
-    m: SnakeMatrix, key: Callable[[tuple[tuple[Interval, int], ...]], Hashable]
-) -> tuple[dict, int]:
-    """Signs of the nonzero assignments summed under ``key`` of their labels.
-
-    ``key`` sees each surviving label multiset once, as its (label,
-    multiplicity) pairs sorted by label; equal pairs are one shared object.
-    Returns the nonzero sums and the number of assignments.  Refuses with
-    UnsupportedSnakeError when the sweeps and the labels handed to ``key``
-    come to more than DET_MAX_STEPS steps.
-
-    The sweeps key a multiset by one int, its multiplicity code: the labels
-    are numbered as the sweep meets them, and label k's multiplicity fills
-    field k of ``width`` bytes.  A block counts its fields from its lowest
-    label, so its codes span only its own labels, and the blocks combine by
-    adding codes, neighbours first, so that only the last sums span the
-    whole matrix.
-    """
-    # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
-    width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
-    # per label, its field at index 0, then (label, e) at index e for e up to
-    # the cells carrying it, which bound its multiplicity
-    tables: dict[Interval, list] = {}
-    parts: list[tuple[int, dict[int, int]]] = []  # per block, its lowest field and its sums
-    count, combos, steps = 1, 1, 0
-    bits = 8 * width
-    for start, block in _blocks(_slots(m)):
-        first = low = len(tables)
-        coded = []
-        for line in block:
-            row = []
-            for x, iv in line:
-                table = tables.get(iv)
-                if table is None:
-                    table = tables[iv] = [len(tables)]
-                elif table[0] < low:  # an earlier block carries it too
-                    low = table[0]
-                table.append((iv, len(table)))
-                row.append((x, 1 << bits * (table[0] - low)))
-            coded.append(row)
-        if low < first:  # the units made before low fell are off, so make them all again
-            coded = [[(x, 1 << bits * (tables[iv][0] - low)) for x, iv in line] for line in block]
-        terms, c, taken = _sweep(start, coded, DET_MAX_STEPS - steps)
-        parts.append((low, terms))
-        count *= c
-        combos *= len(terms)
-        steps += taken
-    if steps + combos * m.size > DET_MAX_STEPS:
+        if b == end:
+            full = (1 << b + 1) - 2
+            terms, ways = states.get(full, ({}, 0))
+            parts.append((low, terms))
+            count *= ways
+            combos *= len(terms)
+            states, start = {full: [{0: 1}, 1]}, b
+            end, low = next(blocks, (0, 0))
+    if steps + combos * m.size > budget:
         raise _over_budget()
     while len(parts) > 1:  # join neighbours, carrying an odd one over
         joined = [_joined(a, b, bits) for a, b in zip(parts[::2], parts[1::2])]

@@ -220,6 +220,21 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
     return {k: c for k, c in acc.items() if c}, count
 
 
+def diagonal_blocks(lines) -> list[list]:
+    """Slot lines cut into diagonal blocks, ``signed_sum``'s rule restated.
+
+    A block ends at the first slot b where no slot since the last cut has a
+    candidate past b.
+    """
+    blocks, block = [], []
+    for b, line in enumerate(lines, 1):
+        block.append(line)
+        if all(x <= b for seen in block for x, _ in seen):
+            blocks.append(block)
+            block = []
+    return blocks
+
+
 def _left_run(s: AlternatingSnake) -> tuple[tuple, bool]:
     if s.k > 1:
         raise ValueError("the path model covers single-run snakes only")

@@ -354,6 +354,41 @@ class TestPackedSum:
             with pytest.raises(UnsupportedSnakeError, match=f"more than {DET_MAX_STEPS} steps"):
                 standard_expansion(s)
 
+    @pytest.mark.parametrize(
+        "m, steps",
+        [
+            (snake_matrix(corpus.staircase(16)), 186_664),
+            (snake_matrix(corpus.pair_chain(24)), 98_448),
+            (snake_matrix(corpus.connected_run(20)), 936_074),
+            (snake_matrix(AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(1000)], 3)), 3_000),
+            (snake_matrix(AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6)), 57),
+            # an ascending first run, so the slots are these rows: slot 4 lists index 1
+            # of the first block, and masks without 1 are still dropped after slot 2
+            (
+                corpus.matrix_from_rows(
+                    AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6),
+                    tuple(tuple((x, Interval(0, 1)) for x in line) for line in [(1, 2), (1, 2, 3), (2, 3), (1, 4)]),
+                ),
+                30,
+            ),
+        ],
+        ids=[
+            "staircase-16",
+            "pair-chain-24",
+            "connected-run-20",
+            "disconnected-run-1000",
+            "shared-label",
+            "index-past-its-block",
+        ],
+    )
+    def test_step_total_pinned(self, monkeypatch, m, steps):
+        # each matrix is answered with exactly ``steps`` steps allowed and refused with one fewer
+        monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps)
+        signed_sum(m, nu_key)
+        monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps - 1)
+        with pytest.raises(UnsupportedSnakeError, match=f"more than {steps - 1} steps"):
+            signed_sum(m, nu_key)
+
     @pytest.mark.parametrize("r", [255, 256, 1000])  # one-byte fields below 256 slots, two from 256
     def test_field_widths(self, r):
         s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
@@ -375,7 +410,7 @@ class TestPackedSum:
     def test_memory_follows_the_labels(self):
         # each block counts its fields from its own lowest label and neighbours
         # join first, so a long disconnected run's codes stay short until the last
-        # joins: about 1.3 MB at r = 2000, against 9.4 MB when every block's codes
+        # joins: about 1.4 MB at r = 2000, against 9.4 MB when every block's codes
         # span the fields before it
         m = snake_matrix(AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(2000)], 3))
         tracemalloc.start()
@@ -399,8 +434,8 @@ class TestPackedSum:
     def test_blocks_sharing_a_label(self, ivs, breaks, n):
         s = AlternatingSnake.build(ivs, breaks, n)
         m = snake_matrix(s)
-        cut = determinant._blocks(determinant._slots(m))
-        blocks = [{iv for line in block for _, iv in line} for _, block in cut]
+        cut = corpus.diagonal_blocks(determinant._slots(m))
+        blocks = [{iv for line in block for _, iv in line} for block in cut]
         assert any(a & b for k, a in enumerate(blocks) for b in blocks[k + 1 :])
         TestSweep.assert_matches_walk([s])
 
