@@ -12,8 +12,6 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
 from typing import Sequence
 
 from .determinant import signed_sum, snake_matrix
@@ -21,16 +19,15 @@ from .errors import UnsupportedSnakeError
 from .intervals import Interval
 from .snakes import AlternatingSnake
 
-# a key reads (label, multiplicity) pairs, and a label is the interval (i, j)
-_label = _lower = itemgetter(0)
-_mult = _upper = itemgetter(1)
+
+def _lambda_order(iv: Interval) -> tuple[int, int]:
+    """Upper endpoints weakly decreasing, ties by increasing lower endpoint."""
+    return -iv.j, iv.i
 
 
 def sorting_permutation(s: AlternatingSnake) -> tuple[int, ...]:
     """Positions reordered so upper endpoints weakly decrease, ties by lower."""
-    return tuple(
-        sorted(range(1, s.r + 1), key=lambda t: (-s.interval(t).j, s.interval(t).i))
-    )
+    return tuple(sorted(range(1, s.r + 1), key=lambda t: _lambda_order(s.interval(t))))
 
 
 def highest_weight_pair(s: AlternatingSnake) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -62,18 +59,15 @@ class KLTable:
         return dict(self.rows)
 
 
-def nu_key(pairs: tuple[tuple[Interval, int], ...]) -> tuple[int, ...]:
-    """The nu + rho row of an assignment's labels, given as (label,
-    multiplicity) pairs sorted by label.
+def _nu_row(pairs: tuple[tuple[tuple[int, int], int], ...]) -> tuple[int, ...]:
+    """The nu + rho row of an assignment's labels, given as ((-j, i),
+    multiplicity) pairs sorted by their ``_lambda_order`` stand-ins.
 
-    Every assignment uses each upper endpoint once, so sorting its labels as
-    the snake's intervals are sorted pairs them with lambda.  The sort on
-    upper endpoints is stable, so a tie keeps its lower endpoints increasing.
+    Every assignment uses each upper endpoint once, so its labels in lambda's
+    order, each repeated by its multiplicity, pair with lambda: the row is
+    their lower endpoints, and within a tie they increase.
     """
-    labels = map(_label, pairs)
-    if max(map(_mult, pairs)) > 1:
-        labels = chain.from_iterable(map(repeat, labels, map(_mult, pairs)))
-    return tuple(map(_lower, sorted(labels, key=_upper, reverse=True)))
+    return tuple(i for (_, i), e in pairs for _ in range(e))
 
 
 def kl_table(s: AlternatingSnake) -> KLTable:
@@ -84,7 +78,7 @@ def kl_table(s: AlternatingSnake) -> KLTable:
 
     Where lambda + rho has tied entries (equal upper endpoints), a row is
     the sum of the coefficients over the orbit of the tied positions, placed
-    on the representative ``nu_key`` gives (lower endpoints increasing
+    on the representative ``_nu_row`` gives (lower endpoints increasing
     within a tie).  Category O need not have its multiplicity at that
     representative.
     """
@@ -98,5 +92,5 @@ def kl_table(s: AlternatingSnake) -> KLTable:
             "must be a valid interval"
         )
     lam, mu, _ = highest_weight_pair(s)
-    sums, _ = signed_sum(snake_matrix(s), nu_key)
-    return KLTable(mu, lam, tuple(sorted(sums.items())))
+    sums, _ = signed_sum(snake_matrix(s), _lambda_order)
+    return KLTable(mu, lam, tuple(sorted((_nu_row(k), c) for k, c in sums.items())))

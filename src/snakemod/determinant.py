@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from math import comb
 from operator import getitem, itemgetter, neg
@@ -28,8 +27,6 @@ from .snakes import LEFT, RIGHT, AlternatingSnake
 
 # signed_sum's time and memory follow its steps, not the assignment count
 DET_MAX_STEPS = 2_500_000
-
-_label = itemgetter(0)
 
 
 class SnakeMatrix(NamedTuple):
@@ -248,16 +245,17 @@ def _over_budget() -> UnsupportedSnakeError:
     )
 
 
-def signed_sum(
-    m: SnakeMatrix, key: Callable[[tuple[tuple[Interval, int], ...]], Hashable]
-) -> tuple[dict, int]:
-    """Signs of the nonzero assignments summed under ``key`` of their labels.
+def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[dict, int]:
+    """Signs of the nonzero assignments summed per multiset of their labels.
 
-    ``key`` sees each surviving label multiset once, as its (label,
-    multiplicity) pairs sorted by label; equal pairs are one shared object.
-    Returns the nonzero sums and the number of assignments.  Refuses with
-    UnsupportedSnakeError when the sweep and the labels handed to ``key``
-    come to more than DET_MAX_STEPS steps.
+    ``name`` runs once per distinct label and gives its stand-in, or None
+    to leave the label out; stand-ins are distinct and orderable.  A sum is
+    keyed by its (stand-in, multiplicity) pairs sorted by stand-in, each
+    pair one object shared by every key that has it, so multisets that
+    differ only in left-out labels are summed together.  Returns the
+    nonzero sums and the number of assignments.  Refuses with
+    UnsupportedSnakeError when the sweep and the labels written come to
+    more than DET_MAX_STEPS steps.
 
     A multiset is keyed by one int, its multiplicity code: the labels are
     numbered as the slots meet them, and label k's multiplicity fills field
@@ -266,19 +264,20 @@ def signed_sum(
     b where no slot since the last cut has a candidate past b.  Then one
     sweep over the slots keeps, per bitmask of used indices, its
     assignments' count and their signed sum per code, counted from the
-    block's lowest field.  Placing x flips the sign once per larger index
-    already used; a mask is dropped when it misses an index whose last
-    candidate slot in its block has passed, and a code when its sum is
-    zero.  At a block's end the sweep keeps the block's sums and goes on
+    block's lowest field.  A mask counts its bits from the block: bit 0
+    stands for the earlier blocks' indices, all used, so a candidate among
+    them is tried and skipped.  Placing x flips the sign once per larger
+    index already used; a mask is dropped when it misses an index whose
+    last candidate slot in its block has passed, and a code when its sum
+    is zero.  At a block's end the sweep keeps the block's sums and goes on
     from the one full mask, and the blocks combine by adding codes,
     neighbours first, so that only the last sums span the whole matrix.
     """
     # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
     width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
     bits = 8 * width
-    # per label, its field at index 0, then (label, e) at index e for e up to
-    # the cells carrying it, which bound its multiplicity
-    tables: dict[Interval, list] = {}
+    # per label, its field and the cells carrying it, which bound its multiplicity
+    tables: dict[Interval, list[int]] = {}
     cand = _slots(m)
     last = [0] * (m.size + 1)  # per index, the last slot of its own block listing it
     ends = []  # per block, its last slot and its lowest field
@@ -287,10 +286,10 @@ def signed_sum(
         for x, iv in line:
             table = tables.get(iv)
             if table is None:
-                table = tables[iv] = [len(tables)]
+                table = tables[iv] = [len(tables), 0]
             elif table[0] < low:  # an earlier block carries it too
                 low = table[0]
-            table.append((iv, len(table)))
+            table[1] += 1
             if x > start:  # indices up to start belong to the earlier blocks
                 last[x] = b
         hi = max(hi, line[-1][0]) if line else hi
@@ -299,13 +298,13 @@ def signed_sum(
             start, low = b, len(tables)
     parts: list[tuple[int, dict[int, int]]] = []  # per block, its lowest field and its sums
     count, combos, steps, budget = 1, 1, 0, DET_MAX_STEPS
-    states: dict[int, list] = {0: [{0: 1}, 1]}
+    states: dict[int, list] = {1: [{0: 1}, 1]}
     need = start = 0
     blocks = iter(ends)
     end, low = next(blocks)
     for b, line in enumerate(cand, 1):
-        need |= sum(1 << x for x, _ in line if last[x] == b)
-        units = [(x, 1 << bits * (tables[iv][0] - low)) for x, iv in line]
+        need |= sum(1 << x - start for x, _ in line if last[x] == b)
+        units = [(max(x - start, 0), 1 << bits * (tables[iv][0] - low)) for x, iv in line]
         size = b - start  # the slots placed so far in the block
         nxt: dict[int, list] = {}
         for used, (terms, ways) in states.items():
@@ -335,12 +334,11 @@ def signed_sum(
                         del acc[code]
         states = nxt
         if b == end:
-            full = (1 << b + 1) - 2
-            terms, ways = states.get(full, ({}, 0))
+            terms, ways = states.get((1 << b - start + 1) - 1, ({}, 0))
             parts.append((low, terms))
             count *= ways
             combos *= len(terms)
-            states, start = {full: [{0: 1}, 1]}, b
+            states, need, start = {1: [{0: 1}, 1]}, 0, b
             end, low = next(blocks, (0, 0))
     if steps + combos * m.size > budget:
         raise _over_budget()
@@ -348,20 +346,21 @@ def signed_sum(
         joined = [_joined(a, b, bits) for a, b in zip(parts[::2], parts[1::2])]
         parts = joined + parts[len(joined) * 2 :]
     sums = parts[0][1]  # its lowest field is the first block's, 0
-    shared = list(map(tables.__getitem__, sorted(tables)))
-    # one field more than the labels, always zero, so that pick returns a tuple
-    # however many labels there are; to_bytes puts field k at element k of a
-    # little-endian machine's bytes and at element len(shared) - k of a big-endian one
-    fields = [table[0] for table in shared]
-    fields.append(len(shared))
+    kept = sorted((s, *table) for iv, table in tables.items() if (s := name(iv)) is not None)
+    shared = [[(s, e) for e in range(cells + 1)] for s, _, cells in kept]
+    # two fields more than the labels, always zero, so that pick returns a tuple
+    # however many labels are kept; to_bytes puts field k at element k of a
+    # little-endian machine's bytes and at element top - k of a big-endian one
+    top = len(tables) + 1
+    fields = [field for _, field, _ in kept] + [top - 1, top]
     byteorder = sys.byteorder
-    pick = itemgetter(*(fields if byteorder == "little" else [len(shared) - k for k in fields]))
-    size, fmt = (len(shared) + 1) * width, "BHIQ"[width.bit_length() - 1]
+    pick = itemgetter(*(fields if byteorder == "little" else [top - k for k in fields]))
+    size, fmt = (top + 1) * width, "BHIQ"[width.bit_length() - 1]
     acc: dict = {}
     for code, c in sums.items():
         counts = code.to_bytes(size, byteorder)
         mults = pick(memoryview(counts).cast(fmt) if width > 1 else counts)
-        k = key(tuple(map(getitem, compress(shared, mults), compress(mults, mults))))
+        k = tuple(map(getitem, compress(shared, mults), compress(mults, mults)))
         acc[k] = acc.get(k, 0) + c
     return {k: c for k, c in acc.items() if c}, count
 
@@ -380,21 +379,18 @@ def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, d
     return low, out
 
 
-def _label_weight(m: SnakeMatrix) -> Callable[[tuple[tuple[Interval, int], ...]], LWeight]:
+def _weight_terms(m: SnakeMatrix) -> tuple[list[tuple[LWeight, int]], int]:
+    """The signed sum as (weight, coefficient) terms sorted by weight, and the
+    assignment count: a boundary label is the identity generator, so it is left out."""
     n = m.snake.n
-    labels = {iv for row in m.rows for _, iv in row}
-    interior = {iv for iv in labels if 0 < iv.j - iv.i <= n}
-    if interior == labels:
-        return partial(LWeight, n)
-    # boundary labels stand for the identity generator
-    keep = interior.__contains__
-    return lambda pairs: LWeight(n, tuple(compress(pairs, map(keep, map(_label, pairs)))))
+    sums, count = signed_sum(m, lambda iv: None if iv.is_boundary(n) else iv)
+    # distinct keys: sorting on the key alone does not compare each key twice
+    return [(LWeight(n, gens), c) for gens, c in sorted(sums.items(), key=itemgetter(0))], count
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:
     """Signed sum over the nonzero assignments; the product of the labels is a weight."""
-    sums, _ = signed_sum(m, _label_weight(m))
-    return RingElement.from_terms(m.snake.n, sums.items())
+    return RingElement.from_terms(m.snake.n, _weight_terms(m)[0])
 
 
 def det_laplace(
@@ -464,11 +460,8 @@ def standard_expansion(s: AlternatingSnake) -> StandardExpansion:
     """Expand the class of a stable snake over standard module labels."""
     if not s.is_stable():
         raise UnsupportedSnakeError(f"{s} is not stable; the expansion is not defined")
-    m = snake_matrix(s)
-    sums, count = signed_sum(m, _label_weight(m))
-    # one n and distinct weights: gens alone give the order, without comparing each n
-    terms = tuple(sorted(sums.items(), key=lambda term: term[0].gens))
-    return StandardExpansion(s, terms, count)
+    terms, count = _weight_terms(snake_matrix(s))
+    return StandardExpansion(s, tuple(terms), count)
 
 
 def derived_snake(s: AlternatingSnake, p: int) -> AlternatingSnake:

@@ -200,13 +200,14 @@ def summed_ell_weights(s: AlternatingSnake) -> set[LWeight]:
     return weights
 
 
-def walked_signed_sum(m, key) -> tuple[dict, int]:
+def walked_signed_sum(m, name) -> tuple[dict, int]:
     """``signed_sum`` by walking every nonzero assignment.
 
     The oracle for the column sweep: each assignment's labels are looked up
     cell by cell and its sign is the parity of its inversions, counted here,
-    so no parity or merging is shared with the sweep.  ``key`` gets the
-    labels' (label, multiplicity) pairs sorted by label, counted here too.
+    so no parity or merging is shared with the sweep.  Each assignment's
+    labels are counted, named, dropped where ``name`` gives None, and keyed
+    by their (stand-in, multiplicity) pairs sorted here too.
     """
     cells = {(p, l): iv for p, row in enumerate(m.rows, 1) for l, iv in row}
     left = m.snake.first_direction() == LEFT
@@ -214,7 +215,8 @@ def walked_signed_sum(m, key) -> tuple[dict, int]:
     count = 0
     for sigma in nonzero_permutations(m):
         pairs = [(x, slot) if left else (slot, x) for slot, x in enumerate(sigma, 1)]
-        k = key(tuple(sorted(Counter(cells[pair] for pair in pairs).items())))
+        labels = Counter(cells[pair] for pair in pairs)
+        k = tuple(sorted((s, e) for iv, e in labels.items() if (s := name(iv)) is not None))
         acc[k] = acc.get(k, 0) + by_inversions(sigma)
         count += 1
     return {k: c for k, c in acc.items() if c}, count

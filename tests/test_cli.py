@@ -34,6 +34,8 @@ UNSTABLE = {
     "breaks": [1, 2, 3, 4, 5],
 }
 TWO_FACTOR = {"n": 5, "intervals": [[0, 4], [-2, 1], [1, 4]], "breaks": [1, 2, 3]}
+# lambda + rho = (5, 4, 4, 3) has a tie, and some assignments repeat a label
+TIE = {"n": 7, "intervals": [[-2, 4], [-1, 5], [-2, 3], [0, 4]], "breaks": [1, 2, 3, 4]}
 
 
 def write(tmp_path, payload, name="in.json"):
@@ -646,6 +648,7 @@ GOLDEN_CASES = [
     ("kl-pair", ["kl", "-"], PAIR, 0),
     ("character-pair", ["character", "-"], PAIR, 0),
     ("character-triple", ["character", "-"], TRIPLE, 0),
+    ("kl-tie", ["kl", "-"], TIE, 0),
 ]
 
 

@@ -31,8 +31,8 @@ from snakemod import (
     standard_expansion,
     weyl_class,
 )
-from snakemod.category_o import nu_key
-from snakemod.determinant import DET_MAX_STEPS, _exact, _label_weight, det_dimension, signed_sum
+from snakemod.category_o import _lambda_order, _nu_row
+from snakemod.determinant import DET_MAX_STEPS, _exact, _weight_terms, det_dimension, signed_sum
 from snakemod.lweight import LWeight
 from snakemod.paths import snake_dimension
 
@@ -274,11 +274,13 @@ class TestSigma:
 class TestSweep:
     @staticmethod
     def assert_matches_walk(snakes):
+        # both production namings: weights leave the boundary labels out, and
+        # KL rows name each label in lambda's order
         for s in snakes:
             m = snake_matrix(s)
-            for key in (_label_weight(m), nu_key):
-                sums, count = signed_sum(m, key)
-                assert (sums, count) == corpus.walked_signed_sum(m, key), str(s)
+            sums, count = corpus.walked_signed_sum(m, lambda iv: None if iv.is_boundary(s.n) else iv)
+            assert _weight_terms(m) == ([(LWeight(s.n, k), c) for k, c in sorted(sums.items())], count), str(s)
+            assert signed_sum(m, _lambda_order) == corpus.walked_signed_sum(m, _lambda_order), str(s)
 
     def test_corpora(self):
         self.assert_matches_walk(
@@ -293,7 +295,7 @@ class TestSweep:
     def test_pair_chains(self):
         # block-diagonal and nothing cancels: 2^(r/2) terms
         self.assert_matches_walk(corpus.pair_chain(r) for r in (16, 24))
-        assert len(signed_sum(snake_matrix(corpus.pair_chain(24)), nu_key)[0]) == 2**12
+        assert len(signed_sum(snake_matrix(corpus.pair_chain(24)), _lambda_order)[0]) == 2**12
 
     def test_connected_runs(self):
         self.assert_matches_walk(corpus.connected_run(r) for r in range(1, 17))
@@ -301,16 +303,16 @@ class TestSweep:
     def test_count_is_not_the_factors_product(self):
         # the staircase's prime factors do not split its matrix
         s = corpus.staircase(16)
-        assert signed_sum(snake_matrix(s), nu_key)[1] == 2**15
-        factors = [signed_sum(snake_matrix(f), nu_key)[1] for f in s.prime_factors()]
+        assert signed_sum(snake_matrix(s), _lambda_order)[1] == 2**15
+        factors = [signed_sum(snake_matrix(f), _lambda_order)[1] for f in s.prime_factors()]
         assert factors[0] * factors[1] * factors[2] == 2**13
 
     def test_long_disconnected_run_is_one_term(self):
         r = 1000
         s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
-        sums, count = signed_sum(snake_matrix(s), nu_key)
+        sums, count = signed_sum(snake_matrix(s), _lambda_order)
         assert count == 1
-        assert sums == {tuple(-3 * t for t in range(r)): 1}
+        assert {_nu_row(k): c for k, c in sums.items()} == {tuple(-3 * t for t in range(r)): 1}
 
     @pytest.mark.parametrize(
         "s",
@@ -325,7 +327,7 @@ class TestSweep:
         m = snake_matrix(s)
         start = time.perf_counter()
         with pytest.raises(UnsupportedSnakeError, match=f"more than {DET_MAX_STEPS} steps"):
-            signed_sum(m, nu_key)
+            signed_sum(m, _lambda_order)
         assert time.perf_counter() - start < 5
 
     def test_expansions_walk_no_assignments(self, monkeypatch):
@@ -384,10 +386,10 @@ class TestPackedSum:
     def test_step_total_pinned(self, monkeypatch, m, steps):
         # each matrix is answered with exactly ``steps`` steps allowed and refused with one fewer
         monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps)
-        signed_sum(m, nu_key)
+        signed_sum(m, _lambda_order)
         monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps - 1)
         with pytest.raises(UnsupportedSnakeError, match=f"more than {steps - 1} steps"):
-            signed_sum(m, nu_key)
+            signed_sum(m, _lambda_order)
 
     @pytest.mark.parametrize("r", [255, 256, 1000])  # one-byte fields below 256 slots, two from 256
     def test_field_widths(self, r):
@@ -410,12 +412,12 @@ class TestPackedSum:
     def test_memory_follows_the_labels(self):
         # each block counts its fields from its own lowest label and neighbours
         # join first, so a long disconnected run's codes stay short until the last
-        # joins: about 1.4 MB at r = 2000, against 9.4 MB when every block's codes
+        # joins: about 1.2 MB at r = 2000, against 9.4 MB when every block's codes
         # span the fields before it
         m = snake_matrix(AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(2000)], 3))
         tracemalloc.start()
         try:
-            signed_sum(m, len)
+            signed_sum(m, _lambda_order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,23 +447,59 @@ class TestPackedSum:
         assert (len(top), top.count(2), max(top)) == (1672, 1253, 2)
 
     def test_key_sees_shared_sorted_pairs(self):
+        # name runs once per distinct label; labels with odd lower endpoint are left out
+        m = snake_matrix(corpus.staircase(12))
+        labels = {iv for row in m.rows for _, iv in row}
+        named = []
+
+        def name(iv):
+            named.append(iv)
+            return None if iv.i % 2 else _lambda_order(iv)
+
         shared: dict = {}
+        sums, count = signed_sum(m, name)
+        assert sorted(named) == sorted(labels) and any(iv.i % 2 for iv in labels)
+        for k in sums:
+            assert all(a[0] < b[0] for a, b in zip(k, k[1:])) and all(x > 0 for _, x in k)
+            assert all(i % 2 == 0 for (_, i), _ in k)
+            assert all(shared.setdefault(p, p) is p for p in k)
+        assert any(x == 2 for _, x in shared)
+        assert (sums, count) == corpus.walked_signed_sum(m, name)
+        assert len(signed_sum(m, _lambda_order)[0]) == 200
 
-        def key(pairs):
-            assert list(pairs) == sorted(pairs) and all(x > 0 for _, x in pairs)
-            assert all(shared.setdefault(p, p) is p for p in pairs)
-            return pairs
+    @pytest.mark.parametrize("ivs", [[[0, 0]], [[0, 2]]])
+    def test_every_label_left_out(self, ivs):
+        # at n = 1 both labels are boundary labels, so every weight key is empty
+        s = AlternatingSnake.build(ivs, [1], 1)
+        m = snake_matrix(s)
+        e = standard_expansion(s)
+        assert (e.terms, e.sigma_count) == (((LWeight.identity(1), 1),), 1)
+        assert det_leibniz(m) == det_laplace(m) == RingElement.one(1)
+        assert kl_table(s).rows == (((0,), 1),)
 
-        sums, _ = signed_sum(snake_matrix(corpus.staircase(12)), key)
-        assert len(sums) == 200 and any(x == 2 for _, x in shared)
+    def test_time_per_slot_flat(self):
+        # a chain of one-slot blocks: each mask counts its bits from its own block,
+        # so the sweep's time per slot does not grow with the slots before it
+        per_slot = []
+        for r in (10_000, 80_000):
+            s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
+            m = snake_matrix(s)
+            best = float("inf")
+            for _ in range(2):
+                start = time.perf_counter()
+                signed_sum(m, _lambda_order)
+                best = min(best, time.perf_counter() - start)
+            per_slot.append(best / r)
+        assert per_slot[1] < 2 * per_slot[0]
 
     def test_big_endian_field_positions(self, monkeypatch):
         # one-byte fields read the same on either machine, so the big-endian
         # positions can be run here by pretending to be one
         m = snake_matrix(corpus.staircase(10))
-        want = signed_sum(m, nu_key)
+        namings = (_lambda_order, lambda iv: None if iv.i % 2 else iv)
+        want = [signed_sum(m, name) for name in namings]
         monkeypatch.setattr(sys, "byteorder", "big")
-        assert signed_sum(m, nu_key) == want
+        assert [signed_sum(m, name) for name in namings] == want
 
 
 class TestDeterminants:
