@@ -120,30 +120,34 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
 
 
 def det_dimension(m: SnakeMatrix) -> int:
-    """det(m) with each label V[i,j] evaluated at binomial(n+1, j-i), exactly.
+    """det(m) with each label V[i,j] evaluated at binomial(n+1, j-i), exactly,
+    for the matrix of a stable snake.
 
-    Sparse fraction-free (Bareiss) elimination on dict rows, touching only
-    the rows with an entry in the pivot column.  A row the pivot does not
-    reach keeps its entries and the pivot they are relative to; the first
-    time a later pivot reaches it, it is rescaled to the current pivot.  Every
+    Sparse fraction-free (Bareiss) elimination on dict rows along the slots
+    of ``_slots``: slot c pivots on its own index and clears that index
+    from the later slots that list it, so only they are touched.  The pivot
+    after slot c is the leading c x c minor, the dimension of the snake's
+    first c positions by the determinantal formula, so a pivot that is not
+    positive raises InternalCheckError.  A row the pivot does not reach
+    keeps its entries and the pivot they are relative to; the first time a
+    later pivot reaches it, it is rescaled to the current pivot.  Every
     division is exact because Bareiss entries are minors, so a remainder
     raises InternalCheckError.
     """
     n1 = m.snake.n + 1
-    rows = [{l - 1: comb(n1, iv.length) for l, iv in row} for row in m.rows]
-    live_in_col = [{p - 1 for p, _ in col} for col in m.cols]
+    slots = _slots(m)
+    rows = [{x - 1: comb(n1, iv.length) for x, iv in line} for line in slots]
+    across = m.rows if slots is m.cols else m.cols
+    live_in_col = [{x - 1 for x, _ in line} for line in across]  # the rows listing each index
     rel = [1] * len(rows)  # the pivot each stored row is relative to
     prev = 1
-    pivot_rows = []
     for c, live in enumerate(live_in_col):
-        if not live:
-            return 0
-        p = min(live)
-        pivot_rows.append(p)
-        top = _rescaled(rows[p], prev, rel[p])
+        top = _rescaled(rows[c], prev, rel[c])
         for l in top:
-            live_in_col[l].discard(p)
-        piv = top.pop(c)
+            live_in_col[l].discard(c)
+        piv = top.pop(c, 0)
+        if piv <= 0:
+            raise InternalCheckError(f"pivot {c + 1} of {m.snake} is {piv}, not a prefix dimension")
         for q in live:
             row = _rescaled(rows[q], prev, rel[q])
             a = row.pop(c)
@@ -160,7 +164,7 @@ def det_dimension(m: SnakeMatrix) -> int:
                     live_in_col[l].discard(q)
             rows[q], rel[q] = row, piv
         prev = piv
-    return _permutation_sign(tuple(pivot_rows)) * prev
+    return prev
 
 
 def _rescaled(row: dict[int, int], prev: int, rel: int) -> dict[int, int]:
@@ -174,18 +178,6 @@ def _exact(x: int, d: int) -> int:
     if rem:
         raise InternalCheckError(f"fraction-free elimination left a remainder ({x} / {d})")
     return q
-
-
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    """The sign of the inversions of distinct values, from the cycles of their ranks."""
-    rank = {v: k for k, v in enumerate(sorted(perm))}
-    dest, swaps = [rank[v] for v in perm], 0
-    for k in range(len(dest)):
-        while dest[k] != k:  # each swap settles one value, so len(perm) - cycles swaps
-            t = dest[k]
-            dest[k], dest[t] = dest[t], t
-            swaps += 1
-    return -1 if swaps % 2 else 1
 
 
 def walk(depth: int, children: Callable[[list], Iterable]) -> Iterator[tuple]:

@@ -148,10 +148,12 @@ class AlternatingSnake:
 
     @classmethod
     def build(cls, intervals, breaks, n: int) -> "AlternatingSnake":
-        problems = diagnose(intervals, breaks, n)
+        # read each input once: an iterator is used up by the first pass over it
+        ivs, bl = tuple(map(as_interval, intervals)), tuple(breaks)
+        problems = diagnose(ivs, bl, n)
         if problems:
             raise InvalidSnakeError(problems)
-        return cls(n, tuple(as_interval(p) for p in intervals), tuple(breaks))
+        return cls(n, ivs, bl)
 
     @classmethod
     def single_run(cls, intervals, n: int) -> "AlternatingSnake":

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -267,6 +268,25 @@ class TestCharacter:
         report = json.loads(err)
         assert report["error"] == "refused"
         assert "1646568" in report["message"]
+
+    def test_connected_run_refused_with_exact_count(self, tmp_path, capsys):
+        # the exact dimension is computed before the refusal, so its cost is
+        # the refusal's: about 1.3 s as a process (Python 3.11, 2 CPUs)
+        r = 400
+        run = {"n": r + 2, "intervals": [[-t, -t + 2] for t in range(r)], "breaks": [1, r]}
+        start = time.perf_counter()
+        code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        found = re.fullmatch(
+            r"character would enumerate (\d+) path tuples of 1200 layers and down steps each, "
+            rf"(\d+) in all; the limit is {CHARACTER_MAX_STEPS}",
+            report["message"],
+        )
+        assert found and int(found[2]) == 1200 * int(found[1])
 
     @pytest.mark.parametrize(
         "run",

@@ -227,19 +227,6 @@ class TestSigma:
             sys.setrecursionlimit(limit)
         assert sigmas == [tuple(range(1, r + 1))]
 
-    def test_signed_sums_recompute_no_sign(self, monkeypatch):
-        # the sweep carries each sign as the parity of its placements
-        calls = []
-        original = determinant._permutation_sign
-        monkeypatch.setattr(
-            determinant, "_permutation_sign", lambda perm: calls.append(perm) or original(perm)
-        )
-        r = 12
-        s = corpus.staircase(r)
-        assert standard_expansion(s).sigma_count == 2 ** (r - 1)
-        assert kl_table(s).rows
-        assert calls == []
-
     def test_first_slot_bounded_by_first_break(self):
         for s in corpus.stable_corpus(83, 40):
             r1 = s.breaks[1] if s.k >= 1 else 1
@@ -583,21 +570,9 @@ class TestDeterminants:
         assert got == det_leibniz(m)
 
 
-class TestPermutationSign:
-    """det_dimension's sign from cycles, against the tests' inversion count."""
-
-    def test_every_small_permutation(self):
-        # size 0 is the empty tuple, whose sign is +1
-        for size in range(7):
-            for base in (0, 1):
-                for perm in itertools.permutations(range(base, base + size)):
-                    assert determinant._permutation_sign(perm) == corpus.by_inversions(perm), perm
-
-    def test_distinct_values_with_gaps(self):
-        rng = random.Random(151)
-        for _ in range(2000):
-            perm = tuple(rng.sample(range(-50, 50), rng.randint(0, 12)))
-            assert determinant._permutation_sign(perm) == corpus.by_inversions(perm), perm
+def leading(r: int) -> list[tuple[int, ...]]:
+    """The index sets 1..c of the leading c x c minors of an r x r matrix."""
+    return [tuple(range(1, c + 1)) for c in range(1, r + 1)]
 
 
 class TestDetDimension:
@@ -612,22 +587,41 @@ class TestDetDimension:
             assert det_dimension(m) == det_laplace(m).dimension(), str(s)
 
     def test_row_permutations_pivot_and_flip_sign(self):
-        # a snake matrix has a nonzero diagonal, so permuting its rows is what
-        # makes the elimination look below the pivot position
+        # a row permutation is no snake's matrix: the elimination refuses it
+        # exactly when a leading minor, the pivot it would take, is not positive
         rng = random.Random(107)
+        refused = 0
         for s in corpus.stable_corpus(109, 60):
             m = snake_matrix(s)
             perm = list(range(s.r))
             rng.shuffle(perm)
             shuffled = corpus.matrix_from_rows(s, tuple(m.rows[p] for p in perm))
-            sign = corpus.by_inversions(tuple(perm))
-            assert det_dimension(shuffled) == sign * det_dimension(m), str(s)
-            assert det_dimension(shuffled) == det_laplace(shuffled).dimension(), str(s)
+            lead = [det_laplace(shuffled, idx, idx).dimension() for idx in leading(s.r)]
+            assert lead[-1] == corpus.by_inversions(tuple(perm)) * det_dimension(m), str(s)
+            if min(lead) > 0:
+                assert det_dimension(shuffled) == lead[-1], str(s)
+            else:
+                refused += 1
+                with pytest.raises(InternalCheckError, match="not a prefix dimension"):
+                    det_dimension(shuffled)
+        assert refused
 
     def test_repeated_row_is_singular(self, example_one):
-        m = snake_matrix(example_one)
-        rows = m.rows
-        assert det_dimension(corpus.matrix_from_rows(example_one, (rows[0], rows[0], *rows[2:]))) == 0
+        # a zero leading minor is no prefix dimension, so the elimination refuses it
+        rows = snake_matrix(example_one).rows
+        repeated = corpus.matrix_from_rows(example_one, (rows[0], rows[0], *rows[2:]))
+        assert det_laplace(repeated).dimension() == 0
+        with pytest.raises(InternalCheckError, match="pivot 2 .* is 0"):
+            det_dimension(repeated)
+
+    def test_pivots_are_prefix_dimensions(self):
+        # the leading minors of a stable snake's matrix, in either run direction
+        for s in corpus.stable_corpus(113, 40) + corpus.nonprime_stable_corpus(127, 20):
+            for t in (s, s.mirror()):
+                m = snake_matrix(t)
+                for c, idx in enumerate(leading(t.r), 1):
+                    minor = det_laplace(m, idx, idx).dimension()
+                    assert minor >= 1 and minor == det_dimension(snake_matrix(t.segment(0, c))), str(t)
 
     def test_pair_value(self, pair_snake):
         # C(3,2) C(3,2) - C(3,1) C(3,3)

@@ -188,6 +188,11 @@ def ladder(r: int) -> AlternatingSnake:
     return AlternatingSnake.single_run([(-x, -x + (n + 1) // 2) for x in range(r)], n)
 
 
+def connected_run(r: int) -> AlternatingSnake:
+    """The connected descending run [[-t, -t + 2]] at n = r + 2."""
+    return AlternatingSnake.single_run([(-t, -t + 2) for t in range(r)], r + 2)
+
+
 class TestDimension:
     def test_builds_no_paths(self, monkeypatch):
         # the stacked walk and the corner rule are all the path-building code there is
@@ -203,8 +208,22 @@ class TestDimension:
 
     def test_ladders_match_path_count(self):
         for r in range(2, 8):
-            for s in (ladder(r), ladder(r).mirror()):
+            for s in (ladder(r), ladder(r).mirror(), connected_run(r), connected_run(r).mirror()):
                 assert snake_dimension(s) == corpus.path_count(s), str(s)
+
+    def test_connected_run_same_in_both_directions(self):
+        # the descending run eliminates along its columns, its mirror along its rows
+        for r in (*range(1, 12), 20, 40, 80, 160):
+            s = connected_run(r)
+            assert snake_dimension(s) == snake_dimension(s.mirror()), r
+
+    def test_descending_connected_run_time_bounded(self):
+        # each pivot clears its index from the few later slots listing it
+        # (about 0.5 s at r = 320, Python 3.11, 2 CPUs)
+        s = connected_run(320)
+        start = time.perf_counter()
+        assert snake_dimension(s) > 0
+        assert time.perf_counter() - start < 5
 
     def test_long_disconnected_run_is_a_product(self):
         # lengths 0..4 at n = 3, each interval well below the previous one

@@ -110,6 +110,14 @@ class TestValidation:
             AlternatingSnake.build([[0, 2], [0, 2]], [1, 2], 2)
         assert exc.value.diagnostics[0].code == "alt-1"
 
+    def test_build_reads_one_shot_iterables_once(self):
+        pair = AlternatingSnake.build([[0, 2], [-1, 1]], [1, 2], 2)
+        s = AlternatingSnake.build((p for p in [[0, 2], [-1, 1]]), iter([1, 2]), 2)
+        assert s == pair
+        with pytest.raises(InvalidSnakeError) as exc:
+            AlternatingSnake.build((p for p in [[0, 2], [0, 2]]), iter([1, 2]), 2)
+        assert exc.value.diagnostics[0].code == "alt-1"
+
     def test_diagnostic_is_a_read_only_tuple(self):
         d = diagnose([[0, 2], [0, 2]], [1, 2], 2)[0]
         fields = ("alt-1", (1, 2), "positions 1 and 2 carry the same interval")
