@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from operator import getitem, itemgetter, neg
+from operator import getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -311,10 +311,7 @@ def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[di
                 odd = (used >> x).bit_count() & 1
                 slot = nxt.get(mask)
                 if slot is None:
-                    # distinct codes stay distinct when one unit is added to each
-                    signed = map(neg, terms.values()) if odd else terms.values()
-                    nxt[mask] = [dict(zip(map(unit.__add__, terms), signed)), ways]
-                    continue
+                    slot = nxt[mask] = [{}, 0]
                 slot[1] += ways
                 acc = slot[0]
                 for code, c in terms.items():

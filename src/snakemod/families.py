@@ -6,7 +6,7 @@ from operator import ge, gt, le, lt
 from typing import Sequence
 
 from .errors import FamilyConstraintError, InternalCheckError, _count
-from .intervals import Interval
+from .intervals import Interval, _check_ints
 from .snakes import LEFT, RIGHT, AlternatingSnake, _breaks_ok, step_direction
 
 
@@ -17,8 +17,9 @@ def snake_from_mu_lambda(mu: Sequence[int], lam: Sequence[int], n: int) -> Alter
     and n + 1 > lam_1 - mu_1 >= lam_r - mu_r > 0 (the middle inequality
     follows from the chains).  The interval tuple is ([mu_1, lam_2],
     [mu_3, lam_1], [mu_2, lam_4], ...), with the trailing indices clamped
-    into range.
+    into range.  A value that is not an int (a bool is not) raises ValueError.
     """
+    _check_ints("mu, lambda and n", (*mu, *lam, n))
     r = len(mu)
     if len(lam) != r or r < 1:
         raise FamilyConstraintError("shape", 0, "mu and lam must be equal-length, nonempty")
@@ -72,11 +73,13 @@ def nested_prime_snake(
     inequalities, and every pairing must satisfy delta_{s,p} <= j_s - i_p.
     Returns the snake built at the smallest n with
     j_s - i_p <= n + 1 - delta_{s,p} for all s, p, together with that n.
+    A value that is not an int (a bool is not) raises ValueError.
     """
+    bl = tuple(breaks)
+    _check_ints("breaks, lows and highs", (*bl, *lows, *highs))
     r = len(lows)
     if len(highs) != r or r < 1:
         raise FamilyConstraintError("shape", 0, "lows and highs must be equal-length, nonempty")
-    bl = tuple(breaks)
     if not _breaks_ok(bl, r):
         raise FamilyConstraintError("breaks", 0, f"break vector {list(bl)} must satisfy 1 = r_0 < ... < r_k = {r}")
     for l in range(1, len(bl) - 1):

@@ -50,6 +50,12 @@ def _normalize(pairs: Iterable[tuple[Interval, int]], n: int) -> tuple[tuple[Int
     return tuple(filter(_exponent, map(acc.__getitem__, sorted(acc))))
 
 
+def _require_same_rank(a, b) -> None:
+    """Raise RankMismatchError unless ``a`` and ``b``, weights or classes, have one rank."""
+    if a.n != b.n:
+        raise RankMismatchError(f"rank mismatch: {a.n} != {b.n}")
+
+
 def _word(w: "LWeight", letter: str) -> str:
     """``w`` as a product of ``letter[i,j]^e`` symbols, or "1" for the identity."""
     if not w.gens:
@@ -83,12 +89,8 @@ class LWeight(NamedTuple):
         """True when every exponent is nonnegative (membership in the monoid)."""
         return all(e > 0 for _, e in self.gens)
 
-    def _require_same_rank(self, other: "LWeight") -> None:
-        if self.n != other.n:
-            raise RankMismatchError(f"rank mismatch: {self.n} != {other.n}")
-
     def __mul__(self, other: "LWeight") -> "LWeight":
-        self._require_same_rank(other)
+        _require_same_rank(self, other)
         return LWeight.from_generators((*self.gens, *other.gens), self.n)
 
     def inverse(self) -> "LWeight":
@@ -206,6 +208,5 @@ def root_decompose(w: LWeight) -> Optional[RootVector]:
 
 def leq(a: LWeight, b: LWeight) -> bool:
     """Dominance order: a <= b iff b * a^-1 lies in the root monoid."""
-    if a.n != b.n:
-        raise RankMismatchError(f"rank mismatch: {a.n} != {b.n}")
+    _require_same_rank(a, b)
     return root_decompose(b * a.inverse()) is not None

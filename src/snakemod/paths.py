@@ -73,17 +73,17 @@ def _stacked_children(intervals, n, label):
     return children
 
 
-def _as_left_run(s: AlternatingSnake):
+def _as_left_run(s: AlternatingSnake) -> tuple[Interval, ...]:
     if s.k > 1:
         raise UnsupportedSnakeError("the path model covers single-run snakes only")
     if s.r == 1 or s.first_direction() == LEFT:
-        return s.intervals, False
-    return s.intervals[::-1], True
+        return s.intervals
+    return s.intervals[::-1]
 
 
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
-    ivs, _ = _as_left_run(s)
+    ivs = _as_left_run(s)
     n, last = s.n, len(ivs) - 1
     # A corner [i, j] of layer t has i_t <= i and j_t <= j <= i_t + n + 1, so
     # 0 <= j - lo < span and (i - lo) * span + (j - lo) sorts like [i, j].

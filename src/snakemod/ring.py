@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .errors import RankMismatchError
 from .intervals import Interval, _check_ints
-from .lweight import LWeight, _word
+from .lweight import LWeight, _require_same_rank, _word
 
 
 def _term_key(term: tuple[LWeight, int]) -> tuple:
@@ -58,12 +57,8 @@ class RingElement:
                 return c
         return 0
 
-    def _require_same_rank(self, other: "RingElement") -> None:
-        if self.n != other.n:
-            raise RankMismatchError(f"rank mismatch: {self.n} != {other.n}")
-
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._require_same_rank(other)
+        _require_same_rank(self, other)
         return RingElement.from_terms(self.n, (*self.terms, *other.terms))
 
     def __neg__(self) -> "RingElement":
@@ -73,7 +68,7 @@ class RingElement:
         return self + (-other)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        self._require_same_rank(other)
+        _require_same_rank(self, other)
         items = []
         for ma, ca in self.terms:
             for mb, cb in other.terms:

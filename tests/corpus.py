@@ -17,13 +17,14 @@ from snakemod import (
     LWeight,
     MalformedIntervalError,
     SnakeMatrix,
+    UnsupportedSnakeError,
     ell_weights,
     nonzero_permutations,
 )
 from snakemod.determinant import walk
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 from snakemod.lweight import _normalize
-from snakemod.paths import _as_left_run, _corners, _stacked_children
+from snakemod.paths import _corners, _stacked_children
 
 MAX_TRIES = 2000
 
@@ -102,7 +103,7 @@ def noncrossing_tuples(s: AlternatingSnake) -> list[tuple[LatticePath, ...]]:
     its reversal (same weight, same class) and the tuples are reported back
     in the input's position order.
     """
-    ivs, flipped = _as_left_run(s)
+    ivs, flipped = _left_run(s)
     path = cache(lambda t, downs: _lattice_path(ivs[t], s.n, downs))
     tuples = [tuple(map(path, range(len(ivs)), stack)) for stack in _stacked_downs(ivs, s.n)]
     return [tup[::-1] for tup in tuples] if flipped else tuples
@@ -239,7 +240,7 @@ def diagonal_blocks(lines) -> list[list]:
 
 def _left_run(s: AlternatingSnake) -> tuple[tuple, bool]:
     if s.k > 1:
-        raise ValueError("the path model covers single-run snakes only")
+        raise UnsupportedSnakeError("the path model covers single-run snakes only")
     if s.r == 1 or s.first_direction() == LEFT:
         return s.intervals, False
     return s.intervals[::-1], True

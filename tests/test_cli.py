@@ -1,3 +1,4 @@
+import argparse
 import copy
 import inspect
 import io
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 import corpus
 import snakemod
-from snakemod.cli import CHARACTER_MAX_STEPS, main
+from snakemod.cli import CHARACTER_MAX_STEPS, _emit, cmd_character, main
 from snakemod.determinant import DET_MAX_STEPS
 from snakemod.errors import _count
+from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 
 EXAMPLE_ONE = {
     "n": 5,
@@ -93,6 +96,28 @@ class TestValidate:
         code, out, err = run_cli(["validate", write(tmp_path, {**PAIR, **change})], capsys)
         assert code == 2 and not out
         assert json.loads(err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"intervals": [[0, 1.5], [-1, 1]]},
+            {"intervals": [[0, "2"], [-1, 1]]},
+            {"intervals": [[0, 2, 4], [-1, 1]]},
+            {"intervals": [0, [-1, 1]]},
+            {"breaks": [1, 2.0]},
+            {"breaks": ["1", 2]},
+            {"breaks": [1, None]},
+        ],
+        ids=["endpoint-float", "endpoint-str", "triple", "not-a-pair", "break-float", "break-str", "break-null"],
+    )
+    def test_malformed_values_report_the_library_message(self, change):
+        data = {**PAIR, **change}
+        with pytest.raises(ValueError) as exc:
+            snakemod.AlternatingSnake.build(data["intervals"], data["breaks"], data["n"])
+        for command in ("validate", "decompose", "det-formula", "character", "kl"):
+            code, out, err = run_in_process([command, "-"], json.dumps(data))
+            assert (code, out) == (2, ""), command
+            assert json.loads(err) == {"error": "invalid-input", "message": str(exc.value)}, command
 
 
 class TestRankOverride:
@@ -239,6 +264,18 @@ class TestCharacter:
         report = json.loads(out)
         assert report["dim"] == 6
         assert len(report["weights"]) == 6
+
+    @pytest.mark.parametrize("move", [1, -1], ids=["up", "mirrored"])
+    def test_corner_with_too_many_digits_writes_nothing(self, move):
+        # the largest endpoint JSON reads has 4,300 digits; a corner of [j - 1, j] at n = 1 ends at j + 1
+        j = 10**4300 - 1
+        ivs = [[j - 1, j]] if move == 1 else [[-j, 1 - j]]
+        code, out, err = run_in_process(["character", "-"], json.dumps({"n": 1, "intervals": ivs, "breaks": [1]}))
+        if move == 1:
+            assert (code, out) == (2, "")
+            assert json.loads(err)["message"].startswith("Exceeds the limit (4300 digits)")
+        else:
+            assert (code, err) == (0, "")
 
     def test_connected_run_deeper_than_recursion_limit(self, tmp_path, capsys):
         # the weights of an r-interval run at n = 1 fill O(r^2) JSON, so the
@@ -393,6 +430,28 @@ class TestGen:
         code, _, err = run_cli(["gen", write(tmp_path, params)], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"family": "mu-lambda", "mu": [0, "1"], "lambda": [3, 2], "n": 4},
+            {"family": "mu-lambda", "mu": [0], "lambda": [1.5], "n": 1},
+            {"family": "mu-lambda", "mu": [0], "lambda": [1], "n": "1"},
+            {"family": "nested", "breaks": [1], "lows": [0.0], "highs": [1]},
+            {"family": "nested", "breaks": [True], "lows": [0], "highs": [1]},
+            {"family": "nested", "breaks": [1], "lows": [0], "highs": [[1]]},
+        ],
+        ids=["mu-str", "lambda-float", "n-str", "lows-float", "breaks-true", "highs-list"],
+    )
+    def test_malformed_values_report_the_library_message(self, params):
+        with pytest.raises(ValueError) as exc:
+            if params["family"] == "mu-lambda":
+                snake_from_mu_lambda(params["mu"], params["lambda"], params["n"])
+            else:
+                nested_prime_snake(params["breaks"], params["lows"], params["highs"])
+        code, out, err = run_in_process(["gen", "-"], json.dumps(params))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": str(exc.value)}
 
     def test_unwritable_minimal_rank_refused(self):
         # n_min = 10^4300 has one digit more than Python writes by default
@@ -614,6 +673,24 @@ class TestInputOutput:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "invalid-input", "message": "JSON nested too deeply to read"}
 
+    def test_deepest_readable_json_in_an_interval_exits_2(self):
+        def run(depth):
+            pair = "[0, " + "[" * depth + "]" * depth + "]"
+            return pair, run_in_process(["validate", "-"], '{"n": 3, "intervals": [' + pair + '], "breaks": [1]}')
+
+        read, unread = 1, 100_000
+        while unread - read > 1:
+            mid = (read + unread) // 2
+            _, (_, _, err) = run(mid)
+            if json.loads(err)["message"] == "JSON nested too deeply to read":
+                unread = mid
+            else:
+                read = mid
+        # the library names the value by its repr, as deep as the reader went
+        pair, (code, out, err) = run(read)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "invalid-input", "message": f"an interval is a pair of integers, not {pair}"}
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         code, out, err = run_cli(["validate", str(path)], capsys)
@@ -638,14 +715,34 @@ class TestInputOutput:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "invalid-input", "message": message}
 
-    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys):
-        path = write(tmp_path, EXAMPLE_ONE)
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path):
         out_path = tmp_path / "report.json"
-        code, out, err = run_cli(["det-formula", path, "--oracle", "-o", str(out_path)], capsys)
-        assert (code, out, err) == (0, "", "")
-        code, stdout, _ = run_cli(["det-formula", path, "--oracle"], capsys)
-        assert code == 0
-        assert out_path.read_bytes() == stdout.encode()
+        for name, argv, data, code in GOLDEN_CASES:
+            if code == 0:
+                assert run_in_process([*argv, "-o", str(out_path)], json.dumps(data)) == (0, "", ""), name
+                assert out_path.read_bytes() == golden_streams(name, 0)[1], name
+
+    def test_streamed_answer_holds_no_copy_of_its_text(self):
+        payload = cmd_character({"n": 200, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}, argparse.Namespace(n=None))
+
+        class Sink:
+            """A stream that keeps only the number of characters written to it."""
+
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sys, "stdout", sink):
+                _emit(payload, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 6_000_000
+        assert peak < sink.size
 
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, target):

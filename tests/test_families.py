@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -47,6 +48,20 @@ class TestMuLambda:
             nested_prime_snake([1.7], [0], [1])
         with pytest.raises(ValueError, match="not True$"):
             nested_prime_snake([True], [0], [1])
+
+    @pytest.mark.parametrize("bad", ["0", 0.0, False], ids=["str", "float", "bool"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "family, args",
+        [(snake_from_mu_lambda, ([0], [1], 1)), (nested_prime_snake, ([1], [0], [1]))],
+        ids=["mu-lambda", "nested"],
+    )
+    def test_non_integer_values_named(self, family, args, at, bad):
+        args = list(args)
+        args[at] = [bad] if isinstance(args[at], list) else bad
+        with pytest.raises(ValueError, match=f"not {re.escape(repr(bad))}$") as exc:
+            family(*args)
+        assert exc.type is ValueError
 
     @pytest.mark.parametrize(
         "mu, lam, n, chain, index",
