@@ -46,8 +46,8 @@ def _read_json(path: str):
 
 
 def _write(doc: dict, stream) -> None:
-    # json.dump writes each of the encoder's small chunks on its own, which made a
-    # process writing to a pipe 3-4 times slower than one write of the whole text
+    # batches of chunks: json.dump writes each small chunk on its own, which is
+    # 3-4 times slower to a pipe than one write of the whole text
     chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(doc)
     while text := "".join(islice(chunks, 1024)):
         stream.write(text)
