@@ -7,105 +7,81 @@ Kazhdan-Lusztig coefficient tables for category O of gl_r.  The
 independent oracles that check these (explicit lattice paths, cell
 lookups in the snake matrix, a permutation sign by inversions) live
 with the tests.
+
+A public name, or a module such as ``snakemod.determinant``, is imported on
+first use (PEP 562), so a CLI process loads only what its subcommand runs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    FamilyConstraintError,
-    InternalCheckError,
-    InvalidSnakeError,
-    MalformedIntervalError,
-    RankMismatchError,
-    UnsupportedSnakeError,
-)
-from .intervals import Interval, as_interval, is_connected_pair, overlaps
-from .lweight import (
-    LWeight,
-    RootVector,
-    ell_root,
-    leq,
-    rectangle_root_product,
-    root_decompose,
-)
-from .ring import RingElement, fundamental_class, weyl_class
-from .snakes import (
-    LEFT,
-    RIGHT,
-    AlternatingSnake,
-    Diagnostic,
-    cross_adjacent,
-    diagnose,
-    step_direction,
-)
-from .families import nested_prime_snake, snake_from_mu_lambda
-from .determinant import (
-    SnakeMatrix,
-    StandardExpansion,
-    derived_snake,
-    det_laplace,
-    det_leibniz,
-    expansion_dominated,
-    minor_identity_holds,
-    nonzero_permutations,
-    snake_matrix,
-    split_identity_holds,
-    standard_expansion,
-)
-from .paths import ell_weights, snake_dimension
-from .category_o import (
-    KLTable,
-    highest_weight_pair,
-    is_dominant_vector,
-    kl_table,
-    sorting_permutation,
-)
+# each module and the public names it defines
+_EXPORTS = {
+    "errors": (
+        "FamilyConstraintError",
+        "InternalCheckError",
+        "InvalidSnakeError",
+        "MalformedIntervalError",
+        "RankMismatchError",
+        "UnsupportedSnakeError",
+    ),
+    "intervals": ("Interval", "as_interval", "is_connected_pair", "overlaps"),
+    "lweight": (
+        "LWeight",
+        "RootVector",
+        "ell_root",
+        "leq",
+        "rectangle_root_product",
+        "root_decompose",
+    ),
+    "ring": ("RingElement", "fundamental_class", "weyl_class"),
+    "snakes": (
+        "LEFT",
+        "RIGHT",
+        "AlternatingSnake",
+        "Diagnostic",
+        "cross_adjacent",
+        "diagnose",
+        "step_direction",
+    ),
+    "families": ("nested_prime_snake", "snake_from_mu_lambda"),
+    "determinant": (
+        "SnakeMatrix",
+        "StandardExpansion",
+        "derived_snake",
+        "det_laplace",
+        "det_leibniz",
+        "expansion_dominated",
+        "minor_identity_holds",
+        "nonzero_permutations",
+        "snake_matrix",
+        "split_identity_holds",
+        "standard_expansion",
+    ),
+    "paths": ("ell_weights", "snake_dimension"),
+    "category_o": (
+        "KLTable",
+        "highest_weight_pair",
+        "is_dominant_vector",
+        "kl_table",
+        "sorting_permutation",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AlternatingSnake",
-    "Diagnostic",
-    "FamilyConstraintError",
-    "InternalCheckError",
-    "Interval",
-    "InvalidSnakeError",
-    "KLTable",
-    "LEFT",
-    "LWeight",
-    "MalformedIntervalError",
-    "RIGHT",
-    "RankMismatchError",
-    "RingElement",
-    "RootVector",
-    "SnakeMatrix",
-    "StandardExpansion",
-    "UnsupportedSnakeError",
-    "as_interval",
-    "cross_adjacent",
-    "derived_snake",
-    "det_laplace",
-    "det_leibniz",
-    "diagnose",
-    "ell_root",
-    "ell_weights",
-    "expansion_dominated",
-    "fundamental_class",
-    "highest_weight_pair",
-    "is_connected_pair",
-    "is_dominant_vector",
-    "kl_table",
-    "leq",
-    "minor_identity_holds",
-    "nested_prime_snake",
-    "nonzero_permutations",
-    "overlaps",
-    "rectangle_root_product",
-    "root_decompose",
-    "snake_dimension",
-    "snake_from_mu_lambda",
-    "snake_matrix",
-    "sorting_permutation",
-    "split_identity_holds",
-    "standard_expansion",
-    "step_direction",
-    "weyl_class",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # importing a submodule binds it in this namespace
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

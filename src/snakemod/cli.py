@@ -14,13 +14,9 @@ from itertools import islice
 from operator import attrgetter
 
 from . import __version__
-from .determinant import det_laplace, snake_matrix, standard_expansion
+# each subcommand imports its engine when it runs, so a process loads only what it uses
 from .errors import InternalCheckError, InvalidSnakeError, UnsupportedSnakeError, _count
-from .families import nested_prime_snake, snake_from_mu_lambda
 from .intervals import _is_int
-from .category_o import kl_table
-from .paths import ell_weights, snake_dimension
-from .snakes import AlternatingSnake
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,7 +62,9 @@ def _emit(payload: dict, out_path: str | None) -> None:
         _write(doc, sys.stdout)
 
 
-def _load_snake(data, n_override) -> AlternatingSnake:
+def _load_snake(data, n_override):
+    from .snakes import AlternatingSnake
+
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object with n, intervals, breaks")
     for key in ("n", "intervals", "breaks"):
@@ -113,6 +111,8 @@ def cmd_decompose(data, args) -> dict:
 
 
 def cmd_det_formula(data, args) -> dict:
+    from .determinant import det_laplace, snake_matrix, standard_expansion
+
     s = _load_snake(data, args.n)
     expansion = standard_expansion(s)
     payload = {
@@ -128,6 +128,8 @@ def cmd_det_formula(data, args) -> dict:
 
 
 def cmd_character(data, args) -> dict:
+    from .paths import ell_weights, snake_dimension
+
     s = _load_snake(data, args.n)
     dim = snake_dimension(s)
     steps = s.r + sum(iv.length for iv in s.intervals)
@@ -147,6 +149,8 @@ def cmd_character(data, args) -> dict:
 
 
 def cmd_kl(data, args) -> dict:
+    from .category_o import kl_table
+
     s = _load_snake(data, args.n)
     table = kl_table(s)
     return {
@@ -164,6 +168,8 @@ def _int_list(params: dict, key: str) -> list:
 
 
 def cmd_gen(params, args) -> dict:
+    from .families import nested_prime_snake, snake_from_mu_lambda
+
     if not isinstance(params, dict) or "family" not in params:
         raise ValueError("expected a JSON object with a 'family' key")
     family = params["family"]

@@ -495,10 +495,11 @@ class TestGen:
 class TestInternalSentinel:
     def test_oracle_mismatch_exits_4(self, tmp_path, capsys, monkeypatch):
         from snakemod import RingElement
-        import snakemod.cli as cli_module
+        import snakemod.determinant
 
+        # the CLI reads det_laplace from its home module when the subcommand runs
         monkeypatch.setattr(
-            cli_module, "det_laplace", lambda m: RingElement.zero(m.snake.n)
+            snakemod.determinant, "det_laplace", lambda m: RingElement.zero(m.snake.n)
         )
         code, _, err = run_cli(
             ["det-formula", write(tmp_path, PAIR), "--oracle"], capsys
@@ -766,6 +767,7 @@ GOLDEN_CASES = [
     ("character-pair", ["character", "-"], PAIR, 0),
     ("character-triple", ["character", "-"], TRIPLE, 0),
     ("kl-tie", ["kl", "-"], TIE, 0),
+    ("gen", ["gen", "-"], {"family": "mu-lambda", "mu": [0, 0, 1, 1], "lambda": [4, 3, 3, 2], "n": 4}, 0),
 ]
 
 
