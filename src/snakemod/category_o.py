@@ -11,11 +11,11 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .determinant import signed_sum, snake_matrix
 from .errors import UnsupportedSnakeError
+from .frozen import Frozen, _set
 from .intervals import Interval
 from .snakes import AlternatingSnake
 
@@ -42,11 +42,18 @@ def is_dominant_vector(v: Sequence[int]) -> bool:
     return all(a >= b for a, b in zip(v, v[1:]))
 
 
-@dataclass(frozen=True)
-class KLTable:
-    mu_plus_rho: tuple[int, ...]
-    lambda_plus_rho: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+class KLTable(Frozen):
+    __slots__ = ("mu_plus_rho", "lambda_plus_rho", "rows")
+
+    def __init__(
+        self,
+        mu_plus_rho: tuple[int, ...],
+        lambda_plus_rho: tuple[int, ...],
+        rows: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> None:
+        _set(self, "mu_plus_rho", mu_plus_rho)
+        _set(self, "lambda_plus_rho", lambda_plus_rho)
+        _set(self, "rows", rows)
 
     def coefficient(self, nu_plus_rho: Sequence[int]) -> int:
         key = tuple(nu_plus_rho)

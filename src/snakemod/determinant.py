@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
 from operator import getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
+from .frozen import Frozen, _set
 from .intervals import Interval, is_connected_pair
 from .lweight import LWeight, leq
 from .ring import RingElement, fundamental_class
@@ -427,13 +427,17 @@ def det_laplace(
     return states.get((1 << len(rows)) - 1, RingElement.zero(n))
 
 
-@dataclass(frozen=True)
-class StandardExpansion:
+class StandardExpansion(Frozen):
     """Signed multiplicities of standard classes in an irreducible class."""
 
-    snake: AlternatingSnake
-    terms: tuple[tuple[LWeight, int], ...]
-    sigma_count: int
+    __slots__ = ("snake", "terms", "sigma_count")
+
+    def __init__(
+        self, snake: AlternatingSnake, terms: tuple[tuple[LWeight, int], ...], sigma_count: int
+    ) -> None:
+        _set(self, "snake", snake)
+        _set(self, "terms", terms)
+        _set(self, "sigma_count", sigma_count)
 
     def coefficient(self, w: LWeight) -> int:
         for weight, c in self.terms:

@@ -8,10 +8,10 @@ unit; products of symbols represent standard module classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
+from .frozen import Frozen, _set
 from .intervals import Interval, _check_ints
 from .lweight import LWeight, _require_same_rank, _word
 
@@ -22,15 +22,17 @@ def _term_key(term: tuple[LWeight, int]) -> tuple:
     return (sum(e for _, e in w.gens), w.gens)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Frozen):
     """An integer polynomial in the fundamental class symbols, at rank n.
 
     Each monomial is the dominant weight whose exponents it carries.
     """
 
-    n: int
-    terms: tuple[tuple[LWeight, int], ...]
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: tuple[tuple[LWeight, int], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "terms", terms)
 
     @classmethod
     def zero(cls, n: int) -> "RingElement":

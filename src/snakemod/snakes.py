@@ -11,12 +11,11 @@ break vector.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .errors import InvalidSnakeError, UnsupportedSnakeError
+from .frozen import Frozen, _set
 from .intervals import Interval, _check_ints, as_interval, is_connected_pair, overlaps
 from .lweight import LWeight, rectangle_root_product
 
@@ -140,11 +139,19 @@ def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
     return out
 
 
-@dataclass(frozen=True)
-class AlternatingSnake:
-    n: int
-    intervals: tuple[Interval, ...]
-    breaks: tuple[int, ...]
+class AlternatingSnake(Frozen):
+    """A snake at rank n; ``directions`` holds each run's direction, set when it is made."""
+
+    __slots__ = ("n", "intervals", "breaks", "directions")
+    _fields = ("n", "intervals", "breaks")
+
+    def __init__(self, n: int, intervals: tuple[Interval, ...], breaks: tuple[int, ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "intervals", intervals)
+        _set(self, "breaks", breaks)
+        # run m starts at break r_{m-1}, and its first step sets its direction
+        directions = [step_direction(intervals[b - 1], intervals[b]) for b in breaks[:-1]]
+        _set(self, "directions", tuple(directions))
 
     @classmethod
     def build(cls, intervals, breaks, n: int) -> "AlternatingSnake":
@@ -175,13 +182,6 @@ class AlternatingSnake:
             raise IndexError(f"position {p} out of range 1..{len(self.intervals)}")
         return self.intervals[p - 1]
 
-    @cached_property
-    def directions(self) -> tuple[str, ...]:
-        out = []
-        for m in range(1, len(self.breaks)):
-            out.append(step_direction(self.interval(self.breaks[m - 1]), self.interval(self.breaks[m - 1] + 1)))
-        return tuple(out)
-
     def first_direction(self) -> str:
         # a lone interval is direction-ambiguous; the left convention is used
         return self.directions[0] if self.k >= 1 else LEFT
@@ -194,12 +194,19 @@ class AlternatingSnake:
 
         Its runs are stretches of this snake's runs and its breaks some of
         this snake's breaks, so it is valid and is built without checking again.
+        Its runs keep their directions.
         """
         if not 0 <= p < q <= self.r:
             raise IndexError(f"segment ({p}, {q}) out of range for r = {self.r}")
-        inner = [b - p for b in self.breaks if p + 1 < b < q]
-        breaks = (1, *inner, q - p) if q - p > 1 else (1,)
-        return AlternatingSnake(self.n, self.intervals[p:q], breaks)
+        # breaks[lo:hi] lie strictly between p+1 and q, and run lo holds the step from p+1
+        lo, hi = bisect_right(self.breaks, p + 1), bisect_left(self.breaks, q)
+        breaks = (1, *[b - p for b in self.breaks[lo:hi]], q - p) if q - p > 1 else (1,)
+        seg = object.__new__(AlternatingSnake)
+        _set(seg, "n", self.n)
+        _set(seg, "intervals", self.intervals[p:q])
+        _set(seg, "breaks", breaks)
+        _set(seg, "directions", self.directions[lo - 1 : lo + len(breaks) - 2])
+        return seg
 
     def reverse(self) -> "AlternatingSnake":
         """The same interval multiset read right to left (equal weight)."""

@@ -1,11 +1,14 @@
 """The package imports its modules on first use, and the CLI only what a subcommand runs.
 
+No route, and not the whole library, loads ``dataclasses`` or ``inspect``.
+
 Each check that counts loaded modules runs in a fresh interpreter, since this
 process has imported the whole library already.
 """
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +23,20 @@ SUBMODULES = (
     "families", "determinant", "paths", "category_o",
 )
 EXAMPLE_ONE = {"n": 5, "intervals": [[0, 4], [-1, 1], [1, 2], [2, 3]], "breaks": [1, 2, 4]}
+PAIR = {"n": 2, "intervals": [[0, 2], [-1, 1]], "breaks": [1, 2]}
+STAIRCASE = {"family": "mu-lambda", "mu": [0, 0, 1, 1], "lambda": [4, 3, 3, 2], "n": 4}
+# every route through the CLI: its arguments, its input and its exit code
+ROUTES = {
+    "validate": (["validate", "-"], json.dumps(EXAMPLE_ONE), 0),
+    "decompose": (["decompose", "-"], json.dumps(EXAMPLE_ONE), 0),
+    "det-formula": (["det-formula", "-", "--oracle"], json.dumps(EXAMPLE_ONE), 0),
+    "kl": (["kl", "-"], json.dumps(PAIR), 0),
+    "character": (["character", "-"], json.dumps(PAIR), 0),
+    "gen": (["gen", "-"], json.dumps(STAIRCASE), 0),
+    "invalid JSON": (["validate", "-"], "{", 2),
+}
+# the standard library's heaviest imports, which no route needs
+HEAVY = {"dataclasses", "inspect"}
 
 
 def fresh(code: str, stdin: str = "") -> object:
@@ -51,6 +68,20 @@ class TestImportContract:
         loaded = loaded_after(code, json.dumps(EXAMPLE_ONE))
         assert "snakemod.snakes" in loaded
         assert "snakemod.determinant" not in loaded
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_loads_no_heavy_module(self, route):
+        argv, stdin, code = ROUTES[route]
+        loaded = loaded_after(f"from snakemod.cli import main\nassert main({argv!r}) == {code}", stdin)
+        assert "snakemod.cli" in loaded
+        assert loaded & HEAVY == set()
+
+    def test_whole_library_loads_no_heavy_module(self):
+        # listed here: pkgutil itself imports inspect
+        modules = [f"snakemod.{m.name}" for m in pkgutil.iter_modules(snakemod.__path__)]
+        loaded = loaded_after(f"import importlib, snakemod\nfor m in {modules!r}:\n    importlib.import_module(m)")
+        assert {f"snakemod.{m}" for m in (*SUBMODULES, "cli")} <= set(modules) <= loaded
+        assert loaded & HEAVY == set()
 
 
 class TestLazySurface:
