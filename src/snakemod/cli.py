@@ -138,6 +138,7 @@ def cmd_character(data, args) -> dict:
             f"character would enumerate {_count(dim)} path tuples of {_count(steps)} layers and "
             f"down steps each, {_count(dim * steps)} in all; the limit is {CHARACTER_MAX_STEPS}"
         )
+    # weights of one rank sort by gens; comparing whole weights would scan each gens twice
     weights = sorted(ell_weights(s), key=attrgetter("gens"))
     # fail before the first byte is written if a corner, which can end past the input, has too many digits
     str(max((iv.j for w in weights for iv, _ in w.gens), default=0))

@@ -65,7 +65,7 @@ def _clamped_break(s: AlternatingSnake, t: int) -> int:
     return s.breaks[t]
 
 
-def _windows(s: AlternatingSnake, along_rows: bool) -> list[tuple[int, int]]:
+def _windows(s: AlternatingSnake, directions: tuple[str, ...], along_rows: bool) -> list[tuple[int, int]]:
     """(lo, hi) per 1-based position: the break windows of the runs holding it.
 
     A position at an inner break lies in two runs whose windows both contain
@@ -74,8 +74,7 @@ def _windows(s: AlternatingSnake, along_rows: bool) -> list[tuple[int, int]]:
     if s.k == 0:
         return [(1, 1), (1, 1)]
     out = [(s.r + 1, 0)] * (s.r + 1)
-    for m in range(1, s.k + 1):
-        d = s.directions[m - 1]
+    for m, d in enumerate(directions, 1):
         wide = d == LEFT if along_rows else d == RIGHT
         if wide:
             lo, hi = _clamped_break(s, m - 2), _clamped_break(s, m + 1)
@@ -92,8 +91,9 @@ def snake_matrix(s: AlternatingSnake) -> SnakeMatrix:
     # connected blocks: an entry needs every pair between its row and column connected
     starts = [1] + [t + 1 for t in range(1, r) if not is_connected_pair(ivs[t - 1], ivs[t], n)]
     ends = [b - 1 for b in starts[1:]] + [r]
-    row_windows = _windows(s, True)
-    col_windows = _windows(s, False)
+    directions = s.directions
+    row_windows = _windows(s, directions, True)
+    col_windows = _windows(s, directions, False)
     rows: list[tuple[tuple[int, Interval], ...]] = []
     cols: list[list[tuple[int, Interval]]] = [[] for _ in range(r)]
     for a, b in zip(starts, ends):

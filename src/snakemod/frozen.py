@@ -1,8 +1,8 @@
 """The base of the library's value types: immutable, compared and hashed by their fields.
 
-A subclass names its fields in ``_fields`` (by default its ``__slots__``; a
-slot after them holds data derived from them) and writes its own
-``__init__``, which sets each slot once through ``object.__setattr__``.
+A subclass's fields are its ``__slots__`` (what derives from them is a
+property), and it writes its own ``__init__``, which sets each slot once
+through ``object.__setattr__``.
 Two values are equal when they have the same class and equal fields, the
 hash is the hash of the field tuple, the ``repr`` reads
 ``Name(field=value, ...)``, and pickling and copying rebuild a value from
@@ -19,13 +19,11 @@ _set = object.__setattr__
 
 class Frozen:
     __slots__ = ()
-    _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # every subclass has two or more fields, so the key is a tuple
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -37,7 +35,7 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key(self)))
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -140,33 +140,28 @@ def diagnose(intervals, breaks, n: int) -> list[Diagnostic]:
 
 
 class AlternatingSnake(Frozen):
-    """A snake at rank n; ``directions`` holds each run's direction, set when it is made."""
+    """A snake at rank n: its intervals and its break vector."""
 
-    __slots__ = ("n", "intervals", "breaks", "directions")
-    _fields = ("n", "intervals", "breaks")
+    __slots__ = ("n", "intervals", "breaks")
 
     def __init__(self, n: int, intervals: tuple[Interval, ...], breaks: tuple[int, ...]) -> None:
         _set(self, "n", n)
         _set(self, "intervals", intervals)
         _set(self, "breaks", breaks)
-        # run m starts at break r_{m-1}, and its first step sets its direction
-        directions = [step_direction(intervals[b - 1], intervals[b]) for b in breaks[:-1]]
-        _set(self, "directions", tuple(directions))
 
     @classmethod
     def build(cls, intervals, breaks, n: int) -> "AlternatingSnake":
         # read each input once: an iterator is used up by the first pass over it
-        ivs, bl = tuple(map(as_interval, intervals)), tuple(breaks)
+        ivs, bl = tuple(intervals), tuple(breaks)
         problems = diagnose(ivs, bl, n)
         if problems:
             raise InvalidSnakeError(problems)
-        return cls(n, ivs, bl)
+        return cls(n, tuple(map(Interval._make, ivs)), bl)
 
     @classmethod
     def single_run(cls, intervals, n: int) -> "AlternatingSnake":
-        ivs = tuple(as_interval(p) for p in intervals)
-        breaks = (1,) if len(ivs) == 1 else (1, len(ivs))
-        return cls.build(ivs, breaks, n)
+        ivs = tuple(intervals)
+        return cls.build(ivs, (1,) if len(ivs) == 1 else (1, len(ivs)), n)
 
     @property
     def r(self) -> int:
@@ -182,9 +177,15 @@ class AlternatingSnake(Frozen):
             raise IndexError(f"position {p} out of range 1..{len(self.intervals)}")
         return self.intervals[p - 1]
 
+    @property
+    def directions(self) -> tuple[str, ...]:
+        """Each run's direction: its first step moves both endpoints one way, as the pairs sort."""
+        ivs = self.intervals
+        return tuple([RIGHT if ivs[b - 1] < ivs[b] else LEFT for b in self.breaks[:-1]])
+
     def first_direction(self) -> str:
         # a lone interval is direction-ambiguous; the left convention is used
-        return self.directions[0] if self.k >= 1 else LEFT
+        return RIGHT if self.k >= 1 and self.intervals[0] < self.intervals[1] else LEFT
 
     def weight(self) -> LWeight:
         return LWeight.from_generators(((iv, 1) for iv in self.intervals), self.n)
@@ -194,33 +195,31 @@ class AlternatingSnake(Frozen):
 
         Its runs are stretches of this snake's runs and its breaks some of
         this snake's breaks, so it is valid and is built without checking again.
-        Its runs keep their directions.
         """
         if not 0 <= p < q <= self.r:
             raise IndexError(f"segment ({p}, {q}) out of range for r = {self.r}")
-        # breaks[lo:hi] lie strictly between p+1 and q, and run lo holds the step from p+1
+        # breaks[lo:hi] lie strictly between p+1 and q
         lo, hi = bisect_right(self.breaks, p + 1), bisect_left(self.breaks, q)
         breaks = (1, *[b - p for b in self.breaks[lo:hi]], q - p) if q - p > 1 else (1,)
-        seg = object.__new__(AlternatingSnake)
-        _set(seg, "n", self.n)
-        _set(seg, "intervals", self.intervals[p:q])
-        _set(seg, "breaks", breaks)
-        _set(seg, "directions", self.directions[lo - 1 : lo + len(breaks) - 2])
-        return seg
+        return AlternatingSnake(self.n, self.intervals[p:q], breaks)
 
     def reverse(self) -> "AlternatingSnake":
-        """The same interval multiset read right to left (equal weight)."""
+        """The same interval multiset read right to left (equal weight).
+
+        Each run turns round and the same pairs meet across the breaks, so it is a snake.
+        """
         r = self.r
         if r == 1:
             return self
         inner = [r - b + 1 for b in self.breaks[-2:0:-1]]
-        return AlternatingSnake.build(self.intervals[::-1], (1, *inner, r), self.n)
+        return AlternatingSnake(self.n, self.intervals[::-1], (1, *inner, r))
 
     def mirror(self) -> "AlternatingSnake":
-        """Apply [i, j] -> [-j, -i] to every interval; run directions flip."""
-        return AlternatingSnake.build(
-            tuple(iv.mirrored() for iv in self.intervals), self.breaks, self.n
-        )
+        """Apply [i, j] -> [-j, -i] to every interval; run directions flip.
+
+        It keeps lengths and overlaps and turns every step round, so it is a snake.
+        """
+        return AlternatingSnake(self.n, tuple(iv.mirrored() for iv in self.intervals), self.breaks)
 
     def is_connected(self) -> bool:
         return all(

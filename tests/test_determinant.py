@@ -116,7 +116,7 @@ class TestMatrixPattern:
         windows = determinant._windows
 
         def with_col_windows(lo, hi):
-            return lambda s, along_rows: windows(s, True) if along_rows else [(lo, hi)] * (s.r + 1)
+            return lambda s, dirs, along_rows: windows(s, dirs, True) if along_rows else [(lo, hi)] * (s.r + 1)
 
         monkeypatch.setattr(determinant, "_windows", with_col_windows(5, 0))
         with pytest.raises(InternalCheckError, match=r"at \(1, 1\)"):

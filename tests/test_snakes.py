@@ -341,7 +341,7 @@ class TestPrimeDecomposition:
             example_one.within_prime_factor(lo, hi)
 
     def test_validates_no_factor_again(self, monkeypatch):
-        # a stretch of a valid snake is valid, so segment builds each factor unchecked
+        # a stretch, mirror or reversal of a valid snake is valid, so each is built unchecked
         r = 200
         runs = [
             AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3),
@@ -360,6 +360,8 @@ class TestPrimeDecomposition:
             factors = s.prime_factors()
             assert len(factors) > 1
             assert sum(f.r for f in factors) == s.r
+            s.mirror()
+            s.reverse()
         assert validated == []
 
     def test_scan_matches_first_cut_recursion(self):
@@ -370,6 +372,40 @@ class TestPrimeDecomposition:
             if cuts:
                 c = cuts[0]
                 assert factors == (s.segment(0, c), *s.segment(c, s.r).prime_factors())
+
+
+class TestCheckedOnce:
+    """Input is checked once: each interval, and the snake as a whole."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(snakes_module, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        for name in ("as_interval", "diagnose"):
+            monkeypatch.setattr(snakes_module, name, counted(name))
+        return calls
+
+    def test_each_interval_once(self, checks):
+        for s in corpus.stable_corpus(59, 30):
+            pairs = [list(iv) for iv in s.intervals]
+            for make in (
+                lambda: AlternatingSnake.build(pairs, s.breaks, s.n),
+                lambda: AlternatingSnake.build(iter(pairs), iter(s.breaks), s.n),
+                lambda: AlternatingSnake.from_json(s.to_json()),
+            ):
+                checks.clear()
+                assert make() == s
+                assert checks.count("as_interval") == s.r and checks.count("diagnose") == 1
+
+    @pytest.mark.parametrize("r", [1, 3, 7])
+    def test_single_run_checks_each_interval_once(self, checks, r):
+        s = AlternatingSnake.single_run(([-t, -t + 1] for t in range(r)), 1)
+        assert s.r == r and s.breaks == ((1,) if r == 1 else (1, r))
+        assert checks.count("as_interval") == r and checks.count("diagnose") == 1
 
 
 def zigzag(r: int, step: int = 4) -> AlternatingSnake:

@@ -2,11 +2,13 @@
 
 ``AlternatingSnake``, ``RingElement``, ``StandardExpansion`` and ``KLTable``
 print, compare, hash, copy and pickle by their fields and refuse
-assignment; a snake's run directions match its intervals however it was made.
+assignment; a snake's run directions match its intervals however it was made,
+and a snake made from a snake is one.
 """
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -14,7 +16,9 @@ import corpus
 from snakemod import (
     AlternatingSnake,
     Interval,
+    InvalidSnakeError,
     RingElement,
+    diagnose,
     fundamental_class,
     kl_table,
     standard_expansion,
@@ -106,11 +110,39 @@ class TestDirections:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_segment_and_symmetry(self, seed):
-        for s in corpus.stable_corpus(seed, 40):
-            for t in (s, s.mirror(), s.reverse()):
+        # mirror, reverse and segment build their images unchecked, so each must be a snake
+        for s in source_snakes(seed):
+            assert_directions(s)
+            for t in derived(s):
+                assert diagnose(t.intervals, t.breaks, t.n) == []
+                built = AlternatingSnake.build(t.intervals, t.breaks, t.n)
+                assert t == built and t.directions == built.directions
                 assert_directions(t)
-            for p in range(s.r):
-                for q in range(p + 1, s.r + 1):
-                    seg = s.segment(p, q)
-                    assert_directions(seg)
-                    assert seg.directions == AlternatingSnake.build(seg.intervals, seg.breaks, s.n).directions
+
+
+def source_snakes(seed: int) -> list[AlternatingSnake]:
+    """Stable snakes, prime and not, unstable snakes, and a lone interval."""
+    rng = random.Random(seed)
+    unstable: list[AlternatingSnake] = []
+    while len(unstable) < 20:
+        try:
+            s = AlternatingSnake.build(*corpus.random_shape(rng))
+        except InvalidSnakeError:
+            continue
+        if not s.is_stable():
+            unstable.append(s)
+    return [
+        *corpus.stable_corpus(seed, 40),
+        *corpus.nonprime_stable_corpus(seed, 20),
+        *unstable,
+        AlternatingSnake.build([[0, 2]], [1], 2),
+    ]
+
+
+def derived(s: AlternatingSnake):
+    """The mirror, the reversal and every segment of ``s``."""
+    yield s.mirror()
+    yield s.reverse()
+    for p in range(s.r):
+        for q in range(p + 1, s.r + 1):
+            yield s.segment(p, q)
