@@ -127,17 +127,46 @@ def cmd_det_formula(data, args) -> dict:
     return payload
 
 
+def _dimension_within_limit(s, steps: int) -> int:
+    """The dimension of the single run ``s``, refused as soon as it is seen
+    to pass CHARACTER_MAX_STEPS with ``steps`` layers and down steps a tuple.
+
+    The dimension of the first c layers in the walk's order (the intervals
+    for a descending run, reversed for an ascending one) is taken for
+    c = 1, 2, 4, ..., r, and at c = r it is exact.  It never decreases in c:
+    the stacked walk never dead-ends (``paths._stacked_children``), so every
+    tuple of the first c layers extends to one of the whole run.  So a
+    prefix that passes the limit refuses the run, and input that is answered
+    is answered with the exact count.  A c-layer prefix has a matrix of
+    O(c^2) cells, so the doubling costs at most a constant factor more than
+    the exact count alone.
+    """
+    from .paths import _as_left_run, snake_dimension
+    from .snakes import LEFT
+
+    _as_left_run(s)  # several runs are refused before any count
+    r, down = s.r, s.first_direction() == LEFT
+    c = 1
+    while True:
+        c = min(c, r)
+        dim = snake_dimension(s.segment(0, c) if down else s.segment(r - c, r))
+        if dim * steps > CHARACTER_MAX_STEPS:
+            raise UnsupportedSnakeError(
+                f"character would enumerate path tuples of {_count(steps)} layers and down steps "
+                f"each, and the first {c} of the {r} layers alone have {_count(dim)} of them, "
+                f"{_count(dim * steps)} steps; the limit is {CHARACTER_MAX_STEPS}"
+            )
+        if c == r:
+            return dim
+        c *= 2
+
+
 def cmd_character(data, args) -> dict:
-    from .paths import ell_weights, snake_dimension
+    from .paths import ell_weights
 
     s = _load_snake(data, args.n)
-    dim = snake_dimension(s)
     steps = s.r + sum(iv.length for iv in s.intervals)
-    if dim * steps > CHARACTER_MAX_STEPS:
-        raise UnsupportedSnakeError(
-            f"character would enumerate {_count(dim)} path tuples of {_count(steps)} layers and "
-            f"down steps each, {_count(dim * steps)} in all; the limit is {CHARACTER_MAX_STEPS}"
-        )
+    dim = _dimension_within_limit(s, steps)
     # weights of one rank sort by gens; comparing whole weights would scan each gens twice
     weights = sorted(ell_weights(s), key=attrgetter("gens"))
     # fail before the first byte is written if a corner, which can end past the input, has too many digits

@@ -11,11 +11,11 @@ expanded over standard module classes.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import comb
 from operator import getitem, itemgetter
+from struct import Struct
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -338,17 +338,14 @@ def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[di
     kept = sorted((s, *table) for iv, table in tables.items() if (s := name(iv)) is not None)
     shared = [[(s, e) for e in range(cells + 1)] for s, _, cells in kept]
     # two fields more than the labels, always zero, so that pick returns a tuple
-    # however many labels are kept; to_bytes puts field k at element k of a
-    # little-endian machine's bytes and at element top - k of a big-endian one
+    # however many labels are kept
     top = len(tables) + 1
-    fields = [field for _, field, _ in kept] + [top - 1, top]
-    byteorder = sys.byteorder
-    pick = itemgetter(*(fields if byteorder == "little" else [top - k for k in fields]))
-    size, fmt = (top + 1) * width, "BHIQ"[width.bit_length() - 1]
+    pick = itemgetter(*(field for _, field, _ in kept), top - 1, top)
+    size = (top + 1) * width
+    unpack = Struct("<" + "BHIQ"[width.bit_length() - 1] * (top + 1)).unpack
     acc: dict = {}
     for code, c in sums.items():
-        counts = code.to_bytes(size, byteorder)
-        mults = pick(memoryview(counts).cast(fmt) if width > 1 else counts)
+        mults = pick(unpack(code.to_bytes(size, "little")))
         k = tuple(map(getitem, compress(shared, mults), compress(mults, mults)))
         acc[k] = acc.get(k, 0) + c
     return {k: c for k, c in acc.items() if c}, count

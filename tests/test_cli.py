@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import corpus
 import snakemod
+from snakemod import determinant
 from snakemod.cli import CHARACTER_MAX_STEPS, _emit, cmd_character, main
-from snakemod.determinant import DET_MAX_STEPS
+from snakemod.determinant import DET_MAX_STEPS, det_laplace
 from snakemod.errors import _count
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 
@@ -189,6 +190,31 @@ class TestDetFormula:
         assert report["oracle"] == "ok"
         assert len(report["terms"]) == 1
 
+    @pytest.mark.parametrize(
+        "shape, r, answered",
+        [
+            ("staircase", 20, True),
+            ("staircase", 21, False),
+            ("connected_run", 21, True),
+            ("connected_run", 22, False),
+        ],
+    )
+    def test_oracle_at_the_sweeps_limit(self, tmp_path, capsys, monkeypatch, shape, r, answered):
+        # The largest staircase and connected run at n = 1 the sweep answers, and the
+        # next ones, which it refuses before det_laplace runs.  In-process, the sweep
+        # took 0.16 and 0.12 s and det_laplace 1.0 and 0.54 s (Python 3.11, 2 CPUs).
+        laplace = []
+        monkeypatch.setattr(determinant, "det_laplace", lambda m: laplace.append(m) or det_laplace(m))
+        path = write(tmp_path, getattr(corpus, shape)(r).to_json())
+        start = time.perf_counter()
+        code, out, err = run_cli(["det-formula", path, "--oracle"], capsys)
+        assert time.perf_counter() - start < 10
+        assert (code, len(laplace)) == ((0, 1) if answered else (3, 0))
+        if answered:
+            assert json.loads(out)["oracle"] == "ok"
+        else:
+            assert f"more than {DET_MAX_STEPS} steps" in json.loads(err)["message"]
+
 
 DENSE_RUN = [[-t, -t + 30] for t in range(30)]  # a dense 30 x 30 block at n = 61
 
@@ -297,18 +323,50 @@ class TestCharacter:
         assert code == 3
         assert json.loads(err)["error"] == "refused"
 
+    @staticmethod
+    def refusing_prefix(run, err, steps):
+        """The layers c of the prefix that refused ``run``, checked against the message.
+
+        The message gives the steps per tuple and the exact dimension of the first
+        c layers in walk order (the intervals, reversed for an ascending run); c is
+        the first of 1, 2, 4, ..., r whose dimension times the steps passes the limit.
+        """
+        report = json.loads(err)
+        assert report["error"] == "refused"
+        found = re.fullmatch(
+            r"character would enumerate path tuples of (\d+) layers and down steps each, and the "
+            r"first (\d+) of the (\d+) layers alone have (.+) of them, (.+) steps; "
+            rf"the limit is {CHARACTER_MAX_STEPS}",
+            report["message"],
+        )
+        assert found, report["message"]
+        s = snakemod.AlternatingSnake.from_json(run)
+        c, r = int(found[2]), int(found[3])
+        assert (int(found[1]), r) == (steps, s.r)
+
+        def dim(c):
+            prefix = s.segment(0, c) if s.first_direction() == "left" else s.segment(r - c, r)
+            return snakemod.snake_dimension(prefix)
+
+        assert (found[4], found[5]) == (_count(dim(c)), _count(dim(c) * steps))
+        assert dim(c) * steps > CHARACTER_MAX_STEPS
+        # the prefix counted before it: the largest power of two below c
+        assert c == 1 or dim(1 << (c - 1).bit_length() - 1) * steps <= CHARACTER_MAX_STEPS
+        assert c == r or c & (c - 1) == 0
+        return c
+
     def test_too_many_tuples_refused(self, tmp_path, capsys):
+        # 1,646,568 tuples of 25 steps; the first four layers already pass the limit
         run = {"n": 7, "intervals": [[0, 4], [-1, 3], [-2, 2], [-3, 1], [-4, 0]], "breaks": [1, 5]}
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert code == 3
         assert out == ""
-        report = json.loads(err)
-        assert report["error"] == "refused"
-        assert "1646568" in report["message"]
+        assert self.refusing_prefix(run, err, 25) == 4
 
     def test_connected_run_refused_with_exact_count(self, tmp_path, capsys):
-        # the exact dimension is computed before the refusal, so its cost is
-        # the refusal's: about 1.3 s as a process (Python 3.11, 2 CPUs)
+        # the first layer alone has C(403, 2) = 81,003 tuples of 1,200 steps, so
+        # the run is refused before its own dimension is computed (that took
+        # about 1.3 s as a process, Python 3.11, 2 CPUs)
         r = 400
         run = {"n": r + 2, "intervals": [[-t, -t + 2] for t in range(r)], "breaks": [1, r]}
         start = time.perf_counter()
@@ -316,14 +374,23 @@ class TestCharacter:
         assert time.perf_counter() - start < 10
         assert code == 3
         assert out == ""
-        report = json.loads(err)
-        assert report["error"] == "refused"
-        found = re.fullmatch(
-            r"character would enumerate (\d+) path tuples of 1200 layers and down steps each, "
-            rf"(\d+) in all; the limit is {CHARACTER_MAX_STEPS}",
-            report["message"],
-        )
-        assert found and int(found[2]) == 1200 * int(found[1])
+        assert self.refusing_prefix(run, err, 1200) == 1
+
+    @pytest.mark.parametrize("r", [1000, 5000])
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["descending", "ascending"])
+    def test_connected_run_refused_at_scale(self, tmp_path, capsys, r, mirrored):
+        # its exact dimension took 6.2 s at r = 640; the first layer refuses it
+        # in a few milliseconds in-process at r = 5000 (Python 3.11, 2 CPUs)
+        ivs = [[-t, -t + 2] for t in range(r)]
+        if mirrored:
+            ivs = [[-j, -i] for i, j in ivs]
+        run = {"n": r + 2, "intervals": ivs, "breaks": [1, r]}
+        path = write(tmp_path, run)
+        start = time.perf_counter()
+        code, out, err = run_cli(["character", path], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert self.refusing_prefix(run, err, 3 * r) == 1
 
     @pytest.mark.parametrize(
         "run",
@@ -343,27 +410,28 @@ class TestCharacter:
         assert len(report["weights"]) == report["dim"]
 
     @pytest.mark.parametrize(
-        "run, dim",
+        "run, steps, c",
         [
-            ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 1),
-            ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001),
-            ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 197_676),
+            ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 10**7 + 2, 1),
+            ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001, 1),
+            # the first two layers have 6,936 tuples, under the limit, so the whole
+            # run's 197,676 are counted
+            ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 48, 3),
             # about 10^5000 tuples: more digits than Python converts an int to str
-            ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, "at least 10^4999"),
+            ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, 3, 1),
         ],
         ids=["one-path", "one-interval", "triple", "past-digit-limit"],
     )
-    def test_long_tuples_refused(self, tmp_path, capsys, run, dim):
+    def test_long_tuples_refused(self, tmp_path, capsys, run, steps, c):
         # the work is the tuples times the down steps of each, not the tuples alone
         start = time.perf_counter()
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert time.perf_counter() - start < 2
         assert code == 3
         assert out == ""
-        report = json.loads(err)
-        assert report["error"] == "refused"
-        assert f"enumerate {dim} path tuples" in report["message"]
-        assert report["message"].endswith(f"the limit is {CHARACTER_MAX_STEPS}")
+        assert self.refusing_prefix(run, err, steps) == c
+        if run["n"] == 10**2500:
+            assert "have at least 10^4999 of them" in json.loads(err)["message"]
 
 
 class TestKL:

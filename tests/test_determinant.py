@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import random
 import sys
 import time
@@ -479,14 +480,34 @@ class TestPackedSum:
             per_slot.append(best / r)
         assert per_slot[1] < 2 * per_slot[0]
 
-    def test_big_endian_field_positions(self, monkeypatch):
-        # one-byte fields read the same on either machine, so the big-endian
-        # positions can be run here by pretending to be one
-        m = snake_matrix(corpus.staircase(10))
-        namings = (_lambda_order, lambda iv: None if iv.i % 2 else iv)
-        want = [signed_sum(m, name) for name in namings]
-        monkeypatch.setattr(sys, "byteorder", "big")
-        assert [signed_sum(m, name) for name in namings] == want
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["descending", "ascending"])
+    @pytest.mark.parametrize("run", [100, 300, 65_536], ids=["width-1", "width-2", "width-4"])
+    def test_decode_at_every_field_width(self, run, mirrored):
+        # Three connected pairs, then a disjoint run whose lengths cycle 3, 4, 0, 1, 2
+        # at n = 3, so boundary labels (lengths 0 and 4) alternate with interior ones.
+        # Each pair is a 2 x 2 diagonal block with two terms: its own intervals with
+        # sign 1, and [a, a + 2] with the boundary [a - 1, a + 3] with sign -1.  Each
+        # run interval is a 1 x 1 block.  So the sums are the blocks' terms multiplied
+        # out, and the mirror's are the same with every label mirrored.
+        label = (lambda i, j: Interval(-j, -i)) if mirrored else Interval
+        pairs = [
+            [(1, [label(a, a + 3), label(a - 1, a + 2)]), (-1, [label(a, a + 2), label(a - 1, a + 3)])]
+            for a in (0, -5, -10)
+        ]
+        rest = [label(-5 * t, -5 * t + t % 5) for t in range(3, 3 + run)]
+        m = snake_matrix(AlternatingSnake.single_run([iv for p in pairs for iv in p[0][1]] + rest, 3))
+        # fields of 1, 2 and 4 bytes: fewer than 256 slots, at least 256, at least 65,536
+        assert (m.size >= 256, m.size >= 65_536) == (run >= 300, run >= 65_536)
+        assert {iv.is_boundary(3) for iv in rest} == {False, True}
+        for name in (_lambda_order, lambda iv: None if iv.is_boundary(3) else iv):
+            # every label is distinct, so each kept one has multiplicity 1
+            fixed = [(x, 1) for iv in rest if (x := name(iv)) is not None]
+            want: dict = {}
+            for terms in itertools.product(*pairs):
+                named = [(x, 1) for _, ivs in terms for iv in ivs if (x := name(iv)) is not None]
+                k = tuple(sorted(fixed + named))
+                want[k] = want.get(k, 0) + math.prod(sign for sign, _ in terms)
+            assert signed_sum(m, name) == (want, 8)
 
 
 class TestDeterminants:

@@ -232,6 +232,22 @@ class TestDimension:
         assert not s.is_connected()
         assert snake_dimension(s) == prod(comb(4, j - i) for i, j in ivs)
 
+    def test_prefix_and_suffix_dimensions_never_decrease(self):
+        # `character` refuses on the first prefix, in walk order, whose dimension
+        # is too large, which is sound because the dimensions rise with the prefix
+        rng = random.Random(3)
+        runs = [
+            corpus.random_single_run(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random() < 0.5)
+            for _ in range(400)
+        ]
+        runs += [f(r) for r in range(1, 9) for f in (ladder, connected_run)]
+        runs += [s.mirror() for s in runs[400:]]
+        assert {s.first_direction() for s in runs if s.r > 1} == {"left", "right"}
+        for s in runs:
+            for part in (lambda c: s.segment(0, c), lambda c: s.segment(s.r - c, s.r)):
+                dims = [snake_dimension(part(c)) for c in range(1, s.r + 1)]
+                assert dims == sorted(dims), str(s)
+
     def test_long_connected_run_deeper_than_recursion_limit(self):
         r = 1100
         s = AlternatingSnake.single_run([(-t, -t + 1) for t in range(r)], 1)
