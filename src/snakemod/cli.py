@@ -131,25 +131,26 @@ def _dimension_within_limit(s, steps: int) -> int:
     """The dimension of the single run ``s``, refused as soon as it is seen
     to pass CHARACTER_MAX_STEPS with ``steps`` layers and down steps a tuple.
 
-    The dimension of the first c layers in the walk's order (the intervals
-    for a descending run, reversed for an ascending one) is taken for
-    c = 1, 2, 4, ..., r, and at c = r it is exact.  It never decreases in c:
-    the stacked walk never dead-ends (``paths._stacked_children``), so every
-    tuple of the first c layers extends to one of the whole run.  So a
-    prefix that passes the limit refuses the run, and input that is answered
-    is answered with the exact count.  A c-layer prefix has a matrix of
-    O(c^2) cells, so the doubling costs at most a constant factor more than
-    the exact count alone.
+    The dimension of the first c positions is taken for c = 1, 2, 4, ..., r,
+    and at c = r it is exact.  It never decreases in c.  For a descending run
+    the first c positions are the first c layers of the stacked walk, which
+    never dead-ends (``paths._stacked_children``), so every tuple of them
+    extends to one of the whole run.  Mirroring turns an ascending run into
+    a descending one position by position, and the mirror's evaluated matrix
+    is the transpose, so each prefix keeps its dimension.  These prefix
+    dimensions are also ``det_dimension``'s pivots.  So a prefix that passes
+    the limit refuses the run, and input that is answered is answered with
+    the exact count.  A c-position prefix has a matrix of O(c^2) cells, so
+    the doubling costs at most a constant factor more than the exact count
+    alone.
     """
     from .paths import _as_left_run, snake_dimension
-    from .snakes import LEFT
 
     _as_left_run(s)  # several runs are refused before any count
-    r, down = s.r, s.first_direction() == LEFT
-    c = 1
+    r, c = s.r, 1
     while True:
         c = min(c, r)
-        dim = snake_dimension(s.segment(0, c) if down else s.segment(r - c, r))
+        dim = snake_dimension(s.segment(0, c))
         if dim * steps > CHARACTER_MAX_STEPS:
             raise UnsupportedSnakeError(
                 f"character would enumerate path tuples of {_count(steps)} layers and down steps "

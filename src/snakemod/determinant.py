@@ -379,32 +379,17 @@ def det_leibniz(m: SnakeMatrix) -> RingElement:
     return RingElement.from_terms(m.snake.n, _weight_terms(m)[0])
 
 
-def det_laplace(
-    m: SnakeMatrix,
-    rows: tuple[int, ...] | None = None,
-    cols: tuple[int, ...] | None = None,
-) -> RingElement:
-    """Cofactor expansion column by column, merged on the rows used.
+def det_laplace(m: SnakeMatrix) -> RingElement:
+    """Cofactor expansion of the whole matrix column by column, merged on the rows used.
 
-    One sweep over ``cols`` in order keeps the value of each partial
-    expansion under the bitmask of the row positions it used.  The row at
-    position x takes the cofactor sign (-1)^k, k the free positions below x,
-    and a state is dropped when it is zero or misses a row whose last
-    nonzero column has passed.
+    One sweep over the columns in order keeps the value of each partial
+    expansion under the bitmask of the rows it used.  A row takes the
+    cofactor sign (-1)^k, k the free rows of smaller index, and a state is
+    dropped when it is zero or misses a row whose last nonzero column has
+    passed.
     """
     n = m.snake.n
-    all_idx = tuple(range(1, m.size + 1))
-    rows = all_idx if rows is None else tuple(rows)
-    cols = all_idx if cols is None else tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("row and column sets must have equal size")
-    if any(len(set(idx)) != len(idx) or not set(idx) <= set(all_idx) for idx in (rows, cols)):
-        raise ValueError(f"rows and columns must be distinct indices in 1..{m.size}")
-    pos = {p: x for x, p in enumerate(rows)}
-    lines = [
-        [(pos[p], fundamental_class(iv, n).terms) for p, iv in m.cols[l - 1] if p in pos]
-        for l in cols
-    ]
+    lines = [[(p - 1, fundamental_class(iv, n).terms) for p, iv in line] for line in m.cols]
     last = {x: b for b, line in enumerate(lines) for x, _ in line}
     states = {0: RingElement.one(n)}
     need = 0  # the rows whose last nonzero column has been swept
@@ -421,7 +406,7 @@ def det_laplace(
                 for g, d in label:
                     terms.extend((w * g, -c * d if odd else c * d) for w, c in val.terms)
         states = {k: v for k, t in acc.items() if not (v := RingElement.from_terms(n, t)).is_zero}
-    return states.get((1 << len(rows)) - 1, RingElement.zero(n))
+    return states.get((1 << m.size) - 1, RingElement.zero(n))
 
 
 class StandardExpansion(Frozen):
@@ -475,8 +460,10 @@ def derived_snake(s: AlternatingSnake, p: int) -> AlternatingSnake:
 def minor_identity_holds(s: AlternatingSnake, p: int) -> bool:
     """Minor at p of the snake matrix vs the derived snake's full matrix.
 
-    Determinants must agree always; when the derived snake is connected the
-    two matrices must also agree cell by cell.
+    The minor drops row p and column 1 (row 1 and column p when ascending)
+    and is renumbered as a SnakeMatrix of the derived snake.  Determinants
+    must agree always; when the derived snake is connected the two matrices
+    must also be equal.
     """
     if s.r == 1:
         if p != 1:
@@ -485,23 +472,19 @@ def minor_identity_holds(s: AlternatingSnake, p: int) -> bool:
     if not (s.is_prime() and s.is_stable()):
         raise UnsupportedSnakeError("the minor identity is stated for prime stable snakes")
     m = snake_matrix(s)
-    all_idx = tuple(range(1, s.r + 1))
-    if s.first_direction() == LEFT:
-        rows = tuple(x for x in all_idx if x != p)
-        cols = all_idx[1:]
-    else:
-        rows = all_idx[1:]
-        cols = tuple(x for x in all_idx if x != p)
+    row, col = (p, 1) if s.first_direction() == LEFT else (1, p)
+
+    def kept(lines, drop, across):  # every line but ``drop``, less index ``across``, renumbered
+        return tuple(
+            tuple((x - (x > across), iv) for x, iv in line if x != across)
+            for y, line in enumerate(lines, 1)
+            if y != drop
+        )
+
     sp = derived_snake(s, p)
+    minor = SnakeMatrix(sp, kept(m.rows, row, col), kept(m.cols, col, row))
     mp = snake_matrix(sp)
-    if det_laplace(m, rows, cols) != det_laplace(mp):
-        return False
-    if sp.is_connected():
-        at = {l: c for c, l in enumerate(cols, 1)}
-        sub = tuple(tuple((at[l], iv) for l, iv in m.rows[rp - 1] if l in at) for rp in rows)
-        if sub != mp.rows:
-            return False
-    return True
+    return det_laplace(minor) == det_laplace(mp) and (not sp.is_connected() or minor == mp)
 
 
 def split_identity_holds(s: AlternatingSnake) -> bool:

@@ -139,6 +139,15 @@ def matrix_from_rows(s: AlternatingSnake, rows: tuple) -> SnakeMatrix:
     return SnakeMatrix(s, rows, transposed(rows, len(rows)))
 
 
+def minor(m: SnakeMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> SnakeMatrix:
+    """The minor of ``m`` on ``rows`` and ``cols`` (1-based), taken in the order
+    given and renumbered from 1, as a matrix of the same snake."""
+    at = {l: c for c, l in enumerate(cols, 1)}
+    return matrix_from_rows(
+        m.snake, tuple(tuple(sorted((at[l], iv) for l, iv in m.rows[p - 1] if l in at)) for p in rows)
+    )
+
+
 def by_inversions(perm: tuple[int, ...]) -> int:
     """The sign of a sequence of distinct values, by counting its inversions."""
     inv = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1 :])

@@ -328,8 +328,8 @@ class TestCharacter:
         """The layers c of the prefix that refused ``run``, checked against the message.
 
         The message gives the steps per tuple and the exact dimension of the first
-        c layers in walk order (the intervals, reversed for an ascending run); c is
-        the first of 1, 2, 4, ..., r whose dimension times the steps passes the limit.
+        c positions, in either run direction; c is the first of 1, 2, 4, ..., r whose
+        dimension times the steps passes the limit.
         """
         report = json.loads(err)
         assert report["error"] == "refused"
@@ -345,8 +345,7 @@ class TestCharacter:
         assert (int(found[1]), r) == (steps, s.r)
 
         def dim(c):
-            prefix = s.segment(0, c) if s.first_direction() == "left" else s.segment(r - c, r)
-            return snakemod.snake_dimension(prefix)
+            return snakemod.snake_dimension(s.segment(0, c))
 
         assert (found[4], found[5]) == (_count(dim(c)), _count(dim(c) * steps))
         assert dim(c) * steps > CHARACTER_MAX_STEPS
@@ -419,8 +418,15 @@ class TestCharacter:
             ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 48, 3),
             # about 10^5000 tuples: more digits than Python converts an int to str
             ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, 3, 1),
+            # ascending: the first four positions have 3,240 tuples, under the limit,
+            # so the whole run's 40,652,136 are counted (its last four have 23,940)
+            (
+                {"n": 5, "intervals": [[-4, -1], [-1, 0], [0, 1], [1, 3], [2, 5], [4, 7], [5, 8], [7, 9]], "breaks": [1, 8]},
+                26,
+                8,
+            ),
         ],
-        ids=["one-path", "one-interval", "triple", "past-digit-limit"],
+        ids=["one-path", "one-interval", "triple", "past-digit-limit", "ascending"],
     )
     def test_long_tuples_refused(self, tmp_path, capsys, run, steps, c):
         # the work is the tuples times the down steps of each, not the tuples alone
@@ -682,7 +688,7 @@ def gen_params(draw):
     spoil = set()
     if one_in(draw, 6):
         spoil = draw(st.sets(st.sampled_from(sorted(params)), min_size=1, max_size=2))
-    for key in spoil:
+    for key in sorted(spoil):  # set order follows the string hash seed
         if draw(st.integers(0, 4)) == 0:
             del params[key]
         elif key == "family":
@@ -730,6 +736,43 @@ class TestContract:
         if code:
             assert isinstance(json.loads(err), dict)
         assert run_in_process(argv, text)[1] == out
+
+    def test_draws_follow_no_string_hash_seed(self, tmp_path):
+        # the draws above are derandomized, so two interpreters with different
+        # string hash seeds must draw the same calls; iterating gen_params' set
+        # of spoiled keys unsorted made the fifth draw differ under seeds 1 and 2
+        paths = [str(Path(__file__).parent), str(Path(snakemod.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        # from a file: hypothesis seeds a derandomized test from its source
+        script = tmp_path / "draw_calls.py"
+        script.write_text(DRAW_CALLS, encoding="utf-8")
+        draws = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, str(script)],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            draws.append(proc.stdout.splitlines())
+        assert len(draws[0]) == 200
+        assert draws[0] == draws[1]
+
+
+# 200 derandomized cli_calls draws, one repr a line
+DRAW_CALLS = """
+from hypothesis import HealthCheck, Phase, given, settings
+from test_cli import cli_calls
+
+@settings(max_examples=200, derandomize=True, database=None, phases=[Phase.generate],
+          deadline=None, suppress_health_check=list(HealthCheck))
+@given(cli_calls())
+def draw(call):
+    print(repr(call))
+
+draw()
+"""
 
 
 class TestInputOutput:

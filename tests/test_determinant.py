@@ -523,26 +523,12 @@ class TestDeterminants:
         s = AlternatingSnake.build([[0, 2]], [1], 3)
         assert det_laplace(snake_matrix(s)) == fundamental_class(Interval(0, 2), 3)
 
-    @pytest.mark.parametrize(
-        "rows, cols",
-        [((0,), (1,)), ((1, 1), (1, 2)), ((3,), (1,)), ((1,), (-1,)), ((1, 2), (2, 2))],
-        ids=["row-zero", "repeated-row", "row-past-end", "col-negative", "repeated-col"],
-    )
-    def test_minor_indices_checked(self, pair_snake, rows, cols):
-        # an index outside 1..2, or a repeated one, names no minor of the matrix
-        with pytest.raises(ValueError, match="distinct indices in 1..2"):
-            det_laplace(snake_matrix(pair_snake), rows, cols)
-
-    def test_minor_shape_checked(self, pair_snake):
-        with pytest.raises(ValueError, match="equal size"):
-            det_laplace(snake_matrix(pair_snake), (1, 2), (1,))
-
     def test_permuted_minors_accepted(self, pair_snake):
         m = snake_matrix(pair_snake)
         whole = det_laplace(m)
-        assert det_laplace(m, (2, 1), (1, 2)) == -whole
-        assert det_laplace(m, (2, 1), (2, 1)) == whole
-        assert det_laplace(m, (1,), (2,)) == fundamental_class(entry(m, 1, 2), 2)
+        assert det_laplace(corpus.minor(m, (2, 1), (1, 2))) == -whole
+        assert det_laplace(corpus.minor(m, (2, 1), (2, 1))) == whole
+        assert det_laplace(corpus.minor(m, (1,), (2,))) == fundamental_class(entry(m, 1, 2), 2)
 
     def test_block_diagonal_when_disconnected(self):
         s = AlternatingSnake.single_run([[0, 3], [-5, -2]], 8)
@@ -572,7 +558,7 @@ class TestDeterminants:
                 iv = entry(m, p, 1)
                 if iv is None:
                     continue
-                minor = det_laplace(m, tuple(x for x in rows if x != p), rows[1:])
+                minor = det_laplace(corpus.minor(m, tuple(x for x in rows if x != p), rows[1:]))
                 term = fundamental_class(iv, s.n) * minor
                 total = total + (term if (p + 1) % 2 == 0 else -term)
             assert total == det_laplace(m)
@@ -617,7 +603,7 @@ class TestDetDimension:
             perm = list(range(s.r))
             rng.shuffle(perm)
             shuffled = corpus.matrix_from_rows(s, tuple(m.rows[p] for p in perm))
-            lead = [det_laplace(shuffled, idx, idx).dimension() for idx in leading(s.r)]
+            lead = [det_laplace(corpus.minor(shuffled, idx, idx)).dimension() for idx in leading(s.r)]
             assert lead[-1] == corpus.by_inversions(tuple(perm)) * det_dimension(m), str(s)
             if min(lead) > 0:
                 assert det_dimension(shuffled) == lead[-1], str(s)
@@ -641,7 +627,7 @@ class TestDetDimension:
             for t in (s, s.mirror()):
                 m = snake_matrix(t)
                 for c, idx in enumerate(leading(t.r), 1):
-                    minor = det_laplace(m, idx, idx).dimension()
+                    minor = det_laplace(corpus.minor(m, idx, idx)).dimension()
                     assert minor >= 1 and minor == det_dimension(snake_matrix(t.segment(0, c))), str(t)
 
     def test_pair_value(self, pair_snake):
@@ -779,6 +765,36 @@ class TestMinorAndSplit:
             r1 = s.breaks[1] if s.k >= 1 else 1
             for p in range(1, r1 + 1):
                 assert minor_identity_holds(s, p), (str(s), p)
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["descending", "ascending"])
+    def test_other_derived_snake_fails(self, example_one, monkeypatch, mirrored):
+        # another prime stable snake of the same size and rank, with another determinant
+        s = example_one.mirror() if mirrored else example_one
+        assert minor_identity_holds(s, 1)
+        other = derived_snake(s, 2)
+        assert other.is_prime() and other.is_stable()
+        assert det_laplace(snake_matrix(other)) != det_laplace(snake_matrix(derived_snake(s, 1)))
+        monkeypatch.setattr(determinant, "derived_snake", lambda s, p: other)
+        assert not minor_identity_holds(s, 1)
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["descending", "ascending"])
+    def test_other_cells_fail(self, example_one, monkeypatch, mirrored):
+        # rows 1, 2 and columns 1, 2 of the derived snake's matrix swapped: the
+        # determinant is the same, the cells are not
+        s = example_one.mirror() if mirrored else example_one
+        derived = derived_snake(s, 1)
+        assert derived.is_connected()
+        build = determinant.snake_matrix
+        swap = (2, 1, *range(3, derived.r + 1))
+
+        def swapped(t):
+            m = build(t)
+            return corpus.minor(m, swap, swap) if t == derived else m
+
+        assert swapped(derived) != build(derived)
+        assert det_laplace(swapped(derived)) == det_laplace(build(derived))
+        monkeypatch.setattr(determinant, "snake_matrix", swapped)
+        assert not minor_identity_holds(s, 1)
 
     def test_split_worked_example(self):
         s = AlternatingSnake.build([[0, 4], [-2, 1], [1, 4]], [1, 2, 3], 5)

@@ -233,8 +233,9 @@ class TestDimension:
         assert snake_dimension(s) == prod(comb(4, j - i) for i, j in ivs)
 
     def test_prefix_and_suffix_dimensions_never_decrease(self):
-        # `character` refuses on the first prefix, in walk order, whose dimension
-        # is too large, which is sound because the dimensions rise with the prefix
+        # `character` refuses on the first position prefix whose dimension is too
+        # large, in either run direction, which is sound because the dimensions
+        # rise with the prefix
         rng = random.Random(3)
         runs = [
             corpus.random_single_run(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random() < 0.5)
