@@ -11,7 +11,9 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from operator import getitem
+from typing import Iterable, Sequence
 
 from .determinant import signed_sum, snake_matrix
 from .errors import UnsupportedSnakeError
@@ -66,15 +68,19 @@ class KLTable(Frozen):
         return dict(self.rows)
 
 
-def _nu_row(pairs: tuple[tuple[tuple[int, int], int], ...]) -> tuple[int, ...]:
-    """The nu + rho row of an assignment's labels, given as ((-j, i),
-    multiplicity) pairs sorted by their ``_lambda_order`` stand-ins.
+def _rows(
+    kept: tuple[tuple[tuple[int, int], int], ...], sums: Iterable[tuple[tuple[int, ...], int]]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (nu + rho, coefficient) rows, sorted, of signed sums over labels
+    named by their ``_lambda_order`` stand-ins (-j, i).
 
     Every assignment uses each upper endpoint once, so its labels in lambda's
     order, each repeated by its multiplicity, pair with lambda: the row is
-    their lower endpoints, and within a tie they increase.
+    their lower endpoints, and within a tie they increase.  ``pieces[k][e]``
+    is label k's lower endpoint repeated e times, built up to its cell count.
     """
-    return tuple(i for (_, i), e in pairs for _ in range(e))
+    pieces = [[(i,) * e for e in range(cells + 1)] for (_, i), cells in kept]
+    return tuple(sorted((tuple(chain.from_iterable(map(getitem, pieces, mults))), c) for mults, c in sums))
 
 
 def kl_table(s: AlternatingSnake) -> KLTable:
@@ -85,7 +91,7 @@ def kl_table(s: AlternatingSnake) -> KLTable:
 
     Where lambda + rho has tied entries (equal upper endpoints), a row is
     the sum of the coefficients over the orbit of the tied positions, placed
-    on the representative ``_nu_row`` gives (lower endpoints increasing
+    on the representative ``_rows`` gives (lower endpoints increasing
     within a tie).  Category O need not have its multiplicity at that
     representative.
     """
@@ -99,5 +105,5 @@ def kl_table(s: AlternatingSnake) -> KLTable:
             "must be a valid interval"
         )
     lam, mu, _ = highest_weight_pair(s)
-    sums, _ = signed_sum(snake_matrix(s), _lambda_order)
-    return KLTable(mu, lam, tuple(sorted((_nu_row(k), c) for k, c in sums.items())))
+    kept, sums, _ = signed_sum(snake_matrix(s), _lambda_order)
+    return KLTable(mu, lam, _rows(kept, sums))

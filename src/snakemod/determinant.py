@@ -237,17 +237,21 @@ def _over_budget() -> UnsupportedSnakeError:
     )
 
 
-def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[dict, int]:
+def signed_sum(
+    m: SnakeMatrix, name: Callable[[Interval], Hashable]
+) -> tuple[tuple[tuple[Hashable, int], ...], Iterator[tuple[tuple[int, ...], int]], int]:
     """Signs of the nonzero assignments summed per multiset of their labels.
 
     ``name`` runs once per distinct label and gives its stand-in, or None
-    to leave the label out; stand-ins are distinct and orderable.  A sum is
-    keyed by its (stand-in, multiplicity) pairs sorted by stand-in, each
-    pair one object shared by every key that has it, so multisets that
-    differ only in left-out labels are summed together.  Returns the
-    nonzero sums and the number of assignments.  Refuses with
-    UnsupportedSnakeError when the sweep and the labels written come to
-    more than DET_MAX_STEPS steps.
+    to leave the label out; stand-ins are distinct and orderable.  Returns
+    the kept labels as (stand-in, cell count) pairs sorted by stand-in,
+    the nonzero sums as a one-pass iterator of (multiplicity vector, sum)
+    pairs, each decoded as it is read, and the number of assignments.  A
+    vector has one entry per kept label, in that order, and a multiplicity
+    is at most its label's cell count; multisets that differ only in
+    left-out labels are summed together, so the vectors are distinct.
+    Refuses before it returns, with UnsupportedSnakeError, when the sweep
+    and the labels written come to more than DET_MAX_STEPS steps.
 
     A multiset is keyed by one int, its multiplicity code: the labels are
     numbered as the slots meet them, and label k's multiplicity fills field
@@ -264,6 +268,8 @@ def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[di
     is zero.  At a block's end the sweep keeps the block's sums and goes on
     from the one full mask, and the blocks combine by adding codes,
     neighbours first, so that only the last sums span the whole matrix.
+    Codes equal on the kept fields are summed as ints, under one mask,
+    and each code left is unpacked into its kept fields alone.
     """
     # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
     width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
@@ -336,19 +342,27 @@ def signed_sum(m: SnakeMatrix, name: Callable[[Interval], Hashable]) -> tuple[di
         parts = joined + parts[len(joined) * 2 :]
     sums = parts[0][1]  # its lowest field is the first block's, 0
     kept = sorted((s, *table) for iv, table in tables.items() if (s := name(iv)) is not None)
-    shared = [[(s, e) for e in range(cells + 1)] for s, _, cells in kept]
-    # two fields more than the labels, always zero, so that pick returns a tuple
-    # however many labels are kept
-    top = len(tables) + 1
-    pick = itemgetter(*(field for _, field, _ in kept), top - 1, top)
-    size = (top + 1) * width
-    unpack = Struct("<" + "BHIQ"[width.bit_length() - 1] * (top + 1)).unpack
-    acc: dict = {}
-    for code, c in sums.items():
-        mults = pick(unpack(code.to_bytes(size, "little")))
-        k = tuple(map(getitem, compress(shared, mults), compress(mults, mults)))
-        acc[k] = acc.get(k, 0) + c
-    return {k: c for k, c in acc.items() if c}, count
+    fields = sorted(field for _, field, _ in kept)
+    # the kept fields in field order, the others skipped as padding
+    layout = [f"{width}x"] * len(tables)
+    for field in fields:
+        layout[field] = "BHIQ"[width.bit_length() - 1]
+    packed = Struct("<" + "".join(layout))
+    if len(fields) < len(tables):  # codes equal on the kept fields sum as one
+        keep = int.from_bytes(packed.pack(*[(1 << bits) - 1] * len(fields)), "little")
+        merged: dict[int, int] = {}
+        for code, c in sums.items():
+            code &= keep
+            merged[code] = merged.get(code, 0) + c
+        sums = merged
+    # unpack reads the kept fields in field order; pick puts them in stand-in
+    # order, which one field or none already is
+    unpack, nbytes = packed.unpack, packed.size
+    place = {field: k for k, field in enumerate(fields)}
+    pick = itemgetter(*(place[field] for _, field, _ in kept)) if len(kept) > 1 else tuple
+    # a sum is zero only where codes cancelled, in a join or under the mask
+    vectors = ((pick(unpack(code.to_bytes(nbytes, "little"))), c) for code, c in sums.items() if c)
+    return tuple((s, cells) for s, _, cells in kept), vectors, count
 
 
 def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, dict]:
@@ -367,11 +381,19 @@ def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, d
 
 def _weight_terms(m: SnakeMatrix) -> tuple[list[tuple[LWeight, int]], int]:
     """The signed sum as (weight, coefficient) terms sorted by weight, and the
-    assignment count: a boundary label is the identity generator, so it is left out."""
+    assignment count: a boundary label is the identity generator, so it is left out.
+
+    A weight's generators come from one table of (label, multiplicity)
+    pairs, so each pair is one object shared by every weight that has it.
+    """
     n = m.snake.n
-    sums, count = signed_sum(m, lambda iv: None if iv.is_boundary(n) else iv)
-    # distinct keys: sorting on the key alone does not compare each key twice
-    return [(LWeight(n, gens), c) for gens, c in sorted(sums.items(), key=itemgetter(0))], count
+    kept, sums, count = signed_sum(m, lambda iv: None if iv.is_boundary(n) else iv)
+    pairs = [[(iv, e) for e in range(cells + 1)] for iv, cells in kept]
+    # distinct generators: sorting on them alone does not compare each twice
+    terms = sorted(
+        ((tuple(compress(map(getitem, pairs, mults), mults)), c) for mults, c in sums), key=itemgetter(0)
+    )
+    return [(LWeight(n, gens), c) for gens, c in terms], count
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:

@@ -232,6 +232,25 @@ def walked_signed_sum(m, name) -> tuple[dict, int]:
     return {k: c for k, c in acc.items() if c}, count
 
 
+def sparse_sums(result) -> tuple[dict, int]:
+    """``signed_sum``'s (kept, vectors, count) as ``walked_signed_sum``'s sparse
+    ({((stand-in, multiplicity), ...): sum}, count).
+
+    Checks the shape on the way: one entry per kept label in each vector,
+    each multiplicity within its label's cell count, no zero sum and no
+    vector twice.
+    """
+    kept, sums, count = result
+    out: dict = {}
+    for mults, c in sums:
+        assert type(mults) is tuple and len(mults) == len(kept), (mults, kept)
+        assert all(0 <= e <= cells for (_, cells), e in zip(kept, mults)) and c
+        k = tuple((s, e) for (s, _), e in zip(kept, mults) if e)
+        assert k not in out, k
+        out[k] = c
+    return out, count
+
+
 def diagonal_blocks(lines) -> list[list]:
     """Slot lines cut into diagonal blocks, ``signed_sum``'s rule restated.
 

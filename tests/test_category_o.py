@@ -16,7 +16,7 @@ from snakemod import (
     kl_table,
     sorting_permutation,
 )
-from snakemod.category_o import _lambda_order, _nu_row
+from snakemod.category_o import _lambda_order, _rows
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ class TestKLTable:
 
     def test_tied_upper_endpoints_sum_on_the_nu_key_representative(self):
         # lambda + rho = (5, 4, 4, 3): the two tied positions are summed over,
-        # and each orbit sum sits where _nu_row puts it, lower endpoints
+        # and each orbit sum sits where _rows puts it, lower endpoints
         # increasing within the tie (KL theory has +1 at (-2, -1, -2, 0) instead)
         s = AlternatingSnake.build([[-2, 4], [-1, 5], [-2, 3], [0, 4]], [1, 2, 3, 4], 7)
         table = kl_table(s)
@@ -114,10 +114,12 @@ class TestKLTable:
         # endpoints rising within a tie, each label repeated by its multiplicity
         named = {iv: _lambda_order(iv) for iv in (Interval(0, 3), Interval(1, 3), Interval(2, 5))}
         assert sorted(named, key=named.get) == [Interval(2, 5), Interval(0, 3), Interval(1, 3)]
-        pairs = ((named[Interval(2, 5)], 1), (named[Interval(0, 3)], 1), (named[Interval(1, 3)], 2))
-        assert _nu_row(pairs) == (2, 0, 1, 1)
-        assert _nu_row(pairs[:2]) == (2, 0)
-        assert _nu_row(()) == ()
+        kept = ((named[Interval(2, 5)], 1), (named[Interval(0, 3)], 1), (named[Interval(1, 3)], 2))
+        assert _rows(kept, [((1, 1, 2), 1)]) == (((2, 0, 1, 1), 1),)
+        assert _rows(kept, [((1, 1, 0), 1)]) == (((2, 0), 1),)
+        assert _rows(kept, [((0, 0, 0), 1)]) == (((), 1),)
+        # rows come out sorted
+        assert _rows(kept, [((1, 1, 2), 1), ((0, 0, 0), -1)]) == (((), -1), ((2, 0, 1, 1), 1))
 
     def test_nested_family_values(self):
         rng = random.Random(157)
@@ -231,7 +233,7 @@ class TestKLOracle:
         """Check each table; return how many had regular and tied lambda + rho.
 
         Exact where lambda + rho is regular; otherwise after summing nu over
-        the tied positions of lambda, each sum on its _nu_row representative.
+        the tied positions of lambda, each sum on its _rows representative.
         """
         exact = tied = 0
         for s in snakes:

@@ -41,6 +41,13 @@ UNSTABLE = {
 TWO_FACTOR = {"n": 5, "intervals": [[0, 4], [-2, 1], [1, 4]], "breaks": [1, 2, 3]}
 # lambda + rho = (5, 4, 4, 3) has a tie, and some assignments repeat a label
 TIE = {"n": 7, "intervals": [[-2, 4], [-1, 5], [-2, 3], [0, 4]], "breaks": [1, 2, 3, 4]}
+# the r = 8 mu-lambda staircase, mu = (0, 0, 1, 1, 2, 2, 3, 3), lambda = (8, 7, 7, 6, 6, 5, 5, 4):
+# 24 KL rows, with tied entries in lambda + rho
+STAIRCASE = {
+    "n": 8,
+    "intervals": [[0, 7], [1, 8], [0, 6], [2, 7], [1, 5], [3, 6], [2, 4], [3, 5]],
+    "breaks": [1, 2, 3, 4, 5, 6, 7, 8],
+}
 
 
 def write(tmp_path, payload, name="in.json"):
@@ -201,8 +208,8 @@ class TestDetFormula:
     )
     def test_oracle_at_the_sweeps_limit(self, tmp_path, capsys, monkeypatch, shape, r, answered):
         # The largest staircase and connected run at n = 1 the sweep answers, and the
-        # next ones, which it refuses before det_laplace runs.  In-process, the sweep
-        # took 0.16 and 0.12 s and det_laplace 1.0 and 0.54 s (Python 3.11, 2 CPUs).
+        # next ones, which it refuses before det_laplace runs.  In-process, the expansion
+        # took 0.10 and 0.07 s and det_laplace 0.97 and 0.44 s (Python 3.11, 2 CPUs).
         laplace = []
         monkeypatch.setattr(determinant, "det_laplace", lambda m: laplace.append(m) or det_laplace(m))
         path = write(tmp_path, getattr(corpus, shape)(r).to_json())
@@ -879,6 +886,7 @@ GOLDEN_CASES = [
     ("character-triple", ["character", "-"], TRIPLE, 0),
     ("kl-tie", ["kl", "-"], TIE, 0),
     ("gen", ["gen", "-"], {"family": "mu-lambda", "mu": [0, 0, 1, 1], "lambda": [4, 3, 3, 2], "n": 4}, 0),
+    ("kl-staircase", ["kl", "-"], STAIRCASE, 0),
 ]
 
 

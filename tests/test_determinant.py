@@ -32,7 +32,7 @@ from snakemod import (
     standard_expansion,
     weyl_class,
 )
-from snakemod.category_o import _lambda_order, _nu_row
+from snakemod.category_o import _lambda_order, _rows
 from snakemod.determinant import DET_MAX_STEPS, _exact, _weight_terms, det_dimension, signed_sum
 from snakemod.lweight import LWeight
 from snakemod.paths import snake_dimension
@@ -268,7 +268,7 @@ class TestSweep:
             m = snake_matrix(s)
             sums, count = corpus.walked_signed_sum(m, lambda iv: None if iv.is_boundary(s.n) else iv)
             assert _weight_terms(m) == ([(LWeight(s.n, k), c) for k, c in sorted(sums.items())], count), str(s)
-            assert signed_sum(m, _lambda_order) == corpus.walked_signed_sum(m, _lambda_order), str(s)
+            assert corpus.sparse_sums(signed_sum(m, _lambda_order)) == corpus.walked_signed_sum(m, _lambda_order), str(s)
 
     def test_corpora(self):
         self.assert_matches_walk(
@@ -283,7 +283,7 @@ class TestSweep:
     def test_pair_chains(self):
         # block-diagonal and nothing cancels: 2^(r/2) terms
         self.assert_matches_walk(corpus.pair_chain(r) for r in (16, 24))
-        assert len(signed_sum(snake_matrix(corpus.pair_chain(24)), _lambda_order)[0]) == 2**12
+        assert len(corpus.sparse_sums(signed_sum(snake_matrix(corpus.pair_chain(24)), _lambda_order))[0]) == 2**12
 
     def test_connected_runs(self):
         self.assert_matches_walk(corpus.connected_run(r) for r in range(1, 17))
@@ -291,16 +291,16 @@ class TestSweep:
     def test_count_is_not_the_factors_product(self):
         # the staircase's prime factors do not split its matrix
         s = corpus.staircase(16)
-        assert signed_sum(snake_matrix(s), _lambda_order)[1] == 2**15
-        factors = [signed_sum(snake_matrix(f), _lambda_order)[1] for f in s.prime_factors()]
+        assert signed_sum(snake_matrix(s), _lambda_order)[2] == 2**15
+        factors = [signed_sum(snake_matrix(f), _lambda_order)[2] for f in s.prime_factors()]
         assert factors[0] * factors[1] * factors[2] == 2**13
 
     def test_long_disconnected_run_is_one_term(self):
         r = 1000
         s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
-        sums, count = signed_sum(snake_matrix(s), _lambda_order)
+        kept, sums, count = signed_sum(snake_matrix(s), _lambda_order)
         assert count == 1
-        assert {_nu_row(k): c for k, c in sums.items()} == {tuple(-3 * t for t in range(r)): 1}
+        assert dict(_rows(kept, sums)) == {tuple(-3 * t for t in range(r)): 1}
 
     @pytest.mark.parametrize(
         "s",
@@ -444,16 +444,18 @@ class TestPackedSum:
             named.append(iv)
             return None if iv.i % 2 else _lambda_order(iv)
 
-        shared: dict = {}
-        sums, count = signed_sum(m, name)
+        sums, count = corpus.sparse_sums(signed_sum(m, name))
         assert sorted(named) == sorted(labels) and any(iv.i % 2 for iv in labels)
         for k in sums:
             assert all(a[0] < b[0] for a, b in zip(k, k[1:])) and all(x > 0 for _, x in k)
             assert all(i % 2 == 0 for (_, i), _ in k)
-            assert all(shared.setdefault(p, p) is p for p in k)
-        assert any(x == 2 for _, x in shared)
         assert (sums, count) == corpus.walked_signed_sum(m, name)
-        assert len(signed_sum(m, _lambda_order)[0]) == 200
+        assert len(corpus.sparse_sums(signed_sum(m, _lambda_order))[0]) == 200
+        # the weights' generators come from one table, so equal pairs are one object
+        shared: dict = {}
+        for w, _ in _weight_terms(m)[0]:
+            assert all(shared.setdefault(p, p) is p for p in w.gens)
+        assert any(x == 2 for _, x in shared)
 
     @pytest.mark.parametrize("ivs", [[[0, 0]], [[0, 2]]])
     def test_every_label_left_out(self, ivs):
@@ -465,17 +467,51 @@ class TestPackedSum:
         assert det_leibniz(m) == det_laplace(m) == RingElement.one(1)
         assert kl_table(s).rows == (((0,), 1),)
 
-    def test_time_per_slot_flat(self):
+    @pytest.mark.parametrize(
+        "s, want",
+        [
+            (AlternatingSnake.build([[0, 1]], [1], 1), [((1,), 1)]),
+            # the connected pair [0, 3], [-1, 2] at n = 3, then a disjoint run: [0, 3]
+            # is in the pair's identity term and not in its other term
+            (
+                AlternatingSnake.single_run([(0, 3), (-1, 2)] + [(-5 * t, -5 * t + t % 5) for t in range(3, 10)], 3),
+                [((0,), -1), ((1,), 1)],
+            ),
+        ],
+        ids=["one-label", "pair-and-run"],
+    )
+    def test_one_label_kept(self, s, want):
+        # the top-left cell's label alone is kept, so each vector is one multiplicity
+        m = snake_matrix(s)
+        target = m.rows[0][0][1]
+        kept, sums, count = signed_sum(m, lambda iv: iv if iv == target else None)
+        sums = sorted(sums)
+        assert (kept, sums) == (((target, 1),), want)
+        assert corpus.sparse_sums((kept, sums, count)) == corpus.walked_signed_sum(m, lambda iv: iv if iv == target else None)
+
+    @pytest.mark.parametrize(
+        "name, interval",
+        [
+            (_lambda_order, lambda t: (-3 * t, -3 * t + 1)),
+            # lengths cycle 0, 1, 2, 3, 4 at n = 3: two labels in five are boundary
+            # labels, left out, so the codes go through the keep mask
+            (lambda iv: None if iv.is_boundary(3) else iv, lambda t: (-5 * t, -5 * t + t % 5)),
+        ],
+        ids=["kl-rows", "weights"],
+    )
+    def test_time_per_slot_flat(self, name, interval):
         # a chain of one-slot blocks: each mask counts its bits from its own block,
-        # so the sweep's time per slot does not grow with the slots before it
+        # so the sweep's time per slot does not grow with the slots before it, and
+        # neither does the decode's, the keep mask's included
         per_slot = []
         for r in (10_000, 80_000):
-            s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(r)], 3)
+            s = AlternatingSnake.single_run([interval(t) for t in range(r)], 3)
             m = snake_matrix(s)
             best = float("inf")
             for _ in range(2):
                 start = time.perf_counter()
-                signed_sum(m, _lambda_order)
+                _, sums, _ = signed_sum(m, name)
+                assert len(list(sums)) == 1
                 best = min(best, time.perf_counter() - start)
             per_slot.append(best / r)
         assert per_slot[1] < 2 * per_slot[0]
@@ -507,7 +543,7 @@ class TestPackedSum:
                 named = [(x, 1) for _, ivs in terms for iv in ivs if (x := name(iv)) is not None]
                 k = tuple(sorted(fixed + named))
                 want[k] = want.get(k, 0) + math.prod(sign for sign, _ in terms)
-            assert signed_sum(m, name) == (want, 8)
+            assert corpus.sparse_sums(signed_sum(m, name)) == (want, 8)
 
 
 class TestDeterminants:
