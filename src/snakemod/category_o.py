@@ -11,7 +11,7 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -71,16 +71,26 @@ class KLTable(Frozen):
 def _rows(
     kept: tuple[tuple[tuple[int, int], int], ...], sums: Iterable[tuple[tuple[int, ...], int]]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The (nu + rho, coefficient) rows, sorted, of signed sums over labels
-    named by their ``_lambda_order`` stand-ins (-j, i).
+    """The (nu + rho, coefficient) rows of signed sums over labels named by
+    their ``_lambda_order`` stand-ins (-j, i), in the order of the sums.
 
     Every assignment uses each upper endpoint once, so its labels in lambda's
     order, each repeated by its multiplicity, pair with lambda: the row is
-    their lower endpoints, and within a tie they increase.  ``pieces[k][e]``
-    is label k's lower endpoint repeated e times, built up to its cell count.
+    their lower endpoints, and within a tie they increase.  So every vector
+    gives the labels that share an upper endpoint j the same total
+    multiplicity, the number of positions with that j, and the more it
+    holds of an earlier label, the smaller its row: ``signed_sum``'s
+    descending vectors give ascending rows, and no row is sorted.  Where
+    there are several sums, ``pieces[k][e]`` is label k's lower endpoint
+    repeated e times, built up to its cell count.
     """
+    sums = iter(sums)
+    head = list(islice(sums, 2))
+    if len(head) == 1:
+        ((mults, c),) = head
+        return ((tuple(i for ((_, i), _), e in zip(kept, mults) for _ in range(e)), c),)
     pieces = [[(i,) * e for e in range(cells + 1)] for (_, i), cells in kept]
-    return tuple(sorted((tuple(chain.from_iterable(map(getitem, pieces, mults))), c) for mults, c in sums))
+    return tuple((tuple(chain.from_iterable(map(getitem, pieces, mults))), c) for mults, c in chain(head, sums))
 
 
 def kl_table(s: AlternatingSnake) -> KLTable:

@@ -12,10 +12,10 @@ expanded over standard module classes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import chain, compress, islice
 from math import comb
 from operator import getitem, itemgetter
-from struct import Struct
+from struct import unpack
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InternalCheckError, UnsupportedSnakeError
@@ -246,61 +246,111 @@ def signed_sum(
     to leave the label out; stand-ins are distinct and orderable.  Returns
     the kept labels as (stand-in, cell count) pairs sorted by stand-in,
     the nonzero sums as a one-pass iterator of (multiplicity vector, sum)
-    pairs, each decoded as it is read, and the number of assignments.  A
-    vector has one entry per kept label, in that order, and a multiplicity
-    is at most its label's cell count; multisets that differ only in
-    left-out labels are summed together, so the vectors are distinct.
-    Refuses before it returns, with UnsupportedSnakeError, when the sweep
-    and the labels written come to more than DET_MAX_STEPS steps.
+    pairs by descending vector, and the number of assignments.  A vector
+    is a tuple with one entry per kept label, in that order, and a
+    multiplicity is at most its label's cell count; multisets that differ
+    only in left-out labels are summed together, so the vectors are
+    distinct.  Refuses before it returns, with UnsupportedSnakeError, when
+    the sweep and the labels written come to more than DET_MAX_STEPS steps.
 
-    A multiset is keyed by one int, its multiplicity code: the labels are
-    numbered as the slots meet them, and label k's multiplicity fills field
-    k of ``width`` bytes.  A first pass numbers the labels and cuts the
-    slots into the matrix's diagonal blocks: a block ends at the first slot
-    b where no slot since the last cut has a candidate past b.  Then one
-    sweep over the slots keeps, per bitmask of used indices, its
-    assignments' count and their signed sum per code, counted from the
-    block's lowest field.  A mask counts its bits from the block: bit 0
-    stands for the earlier blocks' indices, all used, so a candidate among
-    them is tried and skipped.  Placing x flips the sign once per larger
-    index already used; a mask is dropped when it misses an index whose
-    last candidate slot in its block has passed, and a code when its sum
-    is zero.  At a block's end the sweep keeps the block's sums and goes on
-    from the one full mask, and the blocks combine by adding codes,
-    neighbours first, so that only the last sums span the whole matrix.
-    Codes equal on the kept fields are summed as ints, under one mask,
-    and each code left is unpacked into its kept fields alone.
+    A multiset is keyed by one int, its multiplicity code, with a field of
+    ``width`` bytes per label.  A labelling pass names each label, counts
+    its cells and cuts the slots into the matrix's diagonal blocks: a block
+    ends at the first slot b where no slot since the last cut has a
+    candidate past b.  The kept labels take the fields in stand-in order,
+    the first stand-in the most significant, so a code written big-endian
+    is its vector and descending codes are descending vectors.  One sweep
+    over the slots keeps, per bitmask of used indices, its assignments'
+    count and their signed sum per code, counted from the block's lowest
+    kept field; the block's left-out labels take the fields just above its
+    kept ones, so a code spans the block's own labels.  A mask counts its
+    bits from the block: bit 0 stands for the earlier blocks' indices, all
+    used, so a candidate among them is tried and skipped.  Placing x flips
+    the sign once per larger index already used; a mask is dropped when it
+    misses an index whose last candidate slot in its block has passed, and
+    a code when its sum is zero.  At a block's end the sweep keeps the block's sums, one
+    AND clears its left-out fields and codes equal on the kept ones are
+    summed as ints, and it goes on from the one full mask.  The blocks
+    combine by adding codes, neighbours in field order first, so that only
+    the last sums span the whole matrix.  Where a block's kept labels are
+    not neighbours in stand-in order, the kept labels take their fields as
+    the slots meet them instead, so that a block's codes still span its
+    own labels, and each vector is reordered as it is decoded.
     """
     # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
     width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
     bits = 8 * width
-    # per label, its field and the cells carrying it, which bound its multiplicity
-    tables: dict[Interval, list[int]] = {}
+    # per label: its field, its cell count (which bounds its multiplicity),
+    # the last block holding it, its stand-in and, where kept, its place
+    # among the kept labels as the slots meet them
+    tables: dict[Interval, list] = {}
+    kept: list[list] = []
     cand = _slots(m)
     last = [0] * (m.size + 1)  # per index, the last slot of its own block listing it
-    ends = []  # per block, its last slot and its lowest field
-    start = hi = low = 0
+    # the tables of each block's kept labels, and of its left-out labels, block after block
+    mine: list[list] = []
+    others: list[list] = []
+    cuts = []  # per block, its last slot and the ends of its tables in those lists
+    start = hi = block = 0
     for b, line in enumerate(cand, 1):
         for x, iv in line:
             table = tables.get(iv)
             if table is None:
-                table = tables[iv] = [len(tables), 0]
-            elif table[0] < low:  # an earlier block carries it too
-                low = table[0]
+                table = tables[iv] = [0, 0, -1, name(iv), len(kept)]
+                if table[3] is not None:
+                    kept.append(table)
             table[1] += 1
+            if table[2] != block:
+                table[2] = block
+                (mine if table[3] is not None else others).append(table)
             if x > start:  # indices up to start belong to the earlier blocks
                 last[x] = b
         hi = max(hi, line[-1][0]) if line else hi
         if hi <= b:
-            ends.append((b, low))
-            start, low = b, len(tables)
+            cuts.append((b, len(mine), len(others)))
+            start = b
+            block += 1
+    kept.sort(key=itemgetter(3))
+    for field, table in enumerate(reversed(kept)):
+        table[0] = field
+    # A block whose kept labels are not neighbours in stand-in order would
+    # count its codes across other blocks' fields.  Then the kept labels
+    # take their fields as the slots meet them, which keeps each block's
+    # together, and each vector is put in stand-in order as it is decoded.
+    pick = None
+    first = 0
+    for _, stop, _ in cuts if len(cuts) > 1 else ():  # a lone block holds every kept field
+        if stop > first + 1:
+            fields = [t[0] for t in mine[first:stop]]
+            if max(fields) - min(fields) >= stop - first:
+                pick = itemgetter(*(len(kept) - 1 - t[4] for t in kept))
+                for table in kept:
+                    table[0] = table[4]
+                break
+        first = stop
     parts: list[tuple[int, dict[int, int]]] = []  # per block, its lowest field and its sums
     count, combos, steps, budget = 1, 1, 0, DET_MAX_STEPS
     states: dict[int, list] = {1: [{0: 1}, 1]}
-    need = start = 0
-    blocks = iter(ends)
-    end, low = next(blocks)
+    blocks = iter(cuts)
+    need = start = end = first = first_out = 0
     for b, line in enumerate(cand, 1):
+        if b > end:  # a block starts: its kept fields, and its left-out labels' fields just above them
+            end, stop, stop_out = next(blocks)
+            if len(cuts) == 1:
+                low, high = 0, len(kept) - 1
+            elif stop == first + 1:
+                low = high = mine[first][0]
+            elif stop == first:  # no kept label: every code masks to 0
+                low, high = len(kept), len(kept) - 1
+            else:
+                fields = [t[0] for t in mine[first:stop]]
+                low, high = min(fields), max(fields)
+            keep = None  # where it holds a left-out label, the mask of its kept fields
+            if stop_out > first_out:
+                for field, table in enumerate(others[first_out:stop_out], high + 1):
+                    table[0] = field
+                keep = (1 << bits * (high + 1 - low)) - 1
+            first, first_out = stop, stop_out
         need |= sum(1 << x - start for x, _ in line if last[x] == b)
         units = [(max(x - start, 0), 1 << bits * (tables[iv][0] - low)) for x, iv in line]
         size = b - start  # the slots placed so far in the block
@@ -330,39 +380,37 @@ def signed_sum(
         states = nxt
         if b == end:
             terms, ways = states.get((1 << b - start + 1) - 1, ({}, 0))
-            parts.append((low, terms))
             count *= ways
             combos *= len(terms)
+            if keep is not None:  # codes equal on the kept fields sum as one
+                merged: dict[int, int] = {}
+                for code, c in terms.items():
+                    code &= keep
+                    merged[code] = merged.get(code, 0) + c
+                terms = merged
+            parts.append((low, terms))
             states, need, start = {1: [{0: 1}, 1]}, 0, b
-            end, low = next(blocks, (0, 0))
     if steps + combos * m.size > budget:
         raise _over_budget()
+    if len(parts) > 1:
+        parts.sort(key=itemgetter(0))  # blocks next to each other in fields join first
     while len(parts) > 1:  # join neighbours, carrying an odd one over
         joined = [_joined(a, b, bits) for a, b in zip(parts[::2], parts[1::2])]
         parts = joined + parts[len(joined) * 2 :]
-    sums = parts[0][1]  # its lowest field is the first block's, 0
-    kept = sorted((s, *table) for iv, table in tables.items() if (s := name(iv)) is not None)
-    fields = sorted(field for _, field, _ in kept)
-    # the kept fields in field order, the others skipped as padding
-    layout = [f"{width}x"] * len(tables)
-    for field in fields:
-        layout[field] = "BHIQ"[width.bit_length() - 1]
-    packed = Struct("<" + "".join(layout))
-    if len(fields) < len(tables):  # codes equal on the kept fields sum as one
-        keep = int.from_bytes(packed.pack(*[(1 << bits) - 1] * len(fields)), "little")
-        merged: dict[int, int] = {}
-        for code, c in sums.items():
-            code &= keep
-            merged[code] = merged.get(code, 0) + c
-        sums = merged
-    # unpack reads the kept fields in field order; pick puts them in stand-in
-    # order, which one field or none already is
-    unpack, nbytes = packed.unpack, packed.size
-    place = {field: k for k, field in enumerate(fields)}
-    pick = itemgetter(*(place[field] for _, field, _ in kept)) if len(kept) > 1 else tuple
-    # a sum is zero only where codes cancelled, in a join or under the mask
-    vectors = ((pick(unpack(code.to_bytes(nbytes, "little"))), c) for code, c in sums.items() if c)
-    return tuple((s, cells) for s, _, cells in kept), vectors, count
+    sums = parts[0][1]  # its lowest field is field 0, which some block holds
+    layout = f">{len(kept)}{'BHIQ'[width.bit_length() - 1]}"
+    nbytes = width * len(kept)
+    # a sum is zero only where codes cancelled, in a join or under a mask
+    if pick is None:
+        vectors = (
+            (unpack(layout, code.to_bytes(nbytes, "big")), c)
+            for code in sorted(sums, reverse=True)
+            if (c := sums[code])
+        )
+    else:
+        decoded = ((pick(unpack(layout, code.to_bytes(nbytes, "big"))), c) for code, c in sums.items() if c)
+        vectors = iter(sorted(decoded, reverse=True))
+    return tuple((t[3], t[1]) for t in kept), vectors, count
 
 
 def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, dict]:
@@ -379,21 +427,48 @@ def _joined(a: tuple[int, dict], b: tuple[int, dict], bits: int) -> tuple[int, d
     return low, out
 
 
+def _generator_key(mults: tuple[int, ...], raised: bytes) -> bytes:
+    """A multiplicity vector's sort key: its bytes with 0 raised to 0xFF by
+    ``raised``, a translation table, and the trailing 0xFF stripped.
+
+    Over the same labels the keys sort as the vectors' (label,
+    multiplicity) generators do: a label missing before a present one
+    sorts later, and a shorter prefix first.  So every multiplicity must
+    be below 0xFF.
+    """
+    return bytes(mults).translate(raised).rstrip(b"\xff")
+
+
 def _weight_terms(m: SnakeMatrix) -> tuple[list[tuple[LWeight, int]], int]:
     """The signed sum as (weight, coefficient) terms sorted by weight, and the
     assignment count: a boundary label is the identity generator, so it is left out.
 
-    A weight's generators come from one table of (label, multiplicity)
-    pairs, so each pair is one object shared by every weight that has it.
+    Where there are several weights, their generators come from one table
+    of (label, multiplicity) pairs, so each pair is one object shared by
+    every weight that has it.  The terms sort on ``_generator_key`` where
+    every multiplicity is below 0xFF, as it is below 255 slots or 255 cells
+    of each label, and only the keys are held while they sort; otherwise
+    the weights themselves are sorted.  Each weight is built once.
     """
     n = m.snake.n
     kept, sums, count = signed_sum(m, lambda iv: None if iv.is_boundary(n) else iv)
+    head = list(islice(sums, 2))
+    if len(head) == 1:  # one weight: no pair to share and nothing to sort
+        ((mults, c),) = head
+        return [(LWeight(n, tuple((iv, e) for (iv, _), e in zip(kept, mults) if e)), c)], count
     pairs = [[(iv, e) for e in range(cells + 1)] for iv, cells in kept]
-    # distinct generators: sorting on them alone does not compare each twice
-    terms = sorted(
-        ((tuple(compress(map(getitem, pairs, mults), mults)), c) for mults, c in sums), key=itemgetter(0)
-    )
-    return [(LWeight(n, gens), c) for gens, c in terms], count
+    sums = chain(head, sums)
+    if not (m.size < 0xFF or all(cells < 0xFF for _, cells in kept)):
+        terms = [(LWeight(n, tuple(compress(map(getitem, pairs, mults), mults))), c) for mults, c in sums]
+        terms.sort(key=itemgetter(0))  # distinct weights of one rank: no coefficient is compared
+        return terms, count
+    raised, lowered = bytes.maketrans(b"\0", b"\xff"), bytes.maketrans(b"\xff", b"\0")
+    keyed = sorted((_generator_key(mults, raised), c) for mults, c in sums)
+    # a key lowered back is the vector's bytes less its trailing zeros
+    return [
+        (LWeight(n, tuple(compress(map(getitem, pairs, (mults := key.translate(lowered))), mults))), c)
+        for key, c in keyed
+    ], count
 
 
 def det_leibniz(m: SnakeMatrix) -> RingElement:

@@ -61,16 +61,21 @@ def _stacked_children(intervals, n, label):
 
     def children(t, above):
         if (t, above) not in memo:
-            length = intervals[t].length
-            # D'[m] <= D[m + d - 1], leaving room for the down steps after m
-            bound = above[intervals[t - 1].j - intervals[t].j - 1 :] if t else ()
-            caps = [min(n - length + 1 + m, bound[m] if m < len(bound) else n) for m in range(length)]
-            steps = lambda pre: range(pre[-1] + 1 if pre else 0, caps[len(pre)] + 1)
-            layer = walk(length, steps) if length else [()]
-            memo[t, above] = [labelled(t, downs) for downs in layer]
+            memo[t, above] = [labelled(t, downs) for downs in _layer(intervals, n, t, above)]
         return memo[t, above]
 
     return children
+
+
+def _layer(intervals, n, t, above):
+    """The down-step sets of layer t strictly below ``above``, one at a time
+    in lexicographic order (see ``_stacked_children``)."""
+    length = intervals[t].length
+    # D'[m] <= D[m + d - 1], leaving room for the down steps after m
+    bound = above[intervals[t - 1].j - intervals[t].j - 1 :] if t else ()
+    caps = [min(n - length + 1 + m, bound[m] if m < len(bound) else n) for m in range(length)]
+    steps = lambda pre: range(pre[-1] + 1 if pre else 0, caps[len(pre)] + 1)
+    return walk(length, steps) if length else [()]
 
 
 def _as_left_run(s: AlternatingSnake) -> tuple[Interval, ...]:
@@ -85,6 +90,13 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     """The set of tuple weights; equals the weight support of the snake class."""
     ivs = _as_left_run(s)
     n, last = s.n, len(ivs) - 1
+    if not last:  # one layer: a path's sorted corners are its weight, each corner one shared pair
+        j, share = ivs[0].j, {}.setdefault
+        weights: set[LWeight] = set()
+        for downs in _layer(ivs, n, 0, ()):
+            corners = sorted(_corners(downs, j, n))
+            weights.add(LWeight(n, tuple(map(share, corners, corners))))
+        return weights
     # A corner [i, j] of layer t has i_t <= i and j_t <= j <= i_t + n + 1, so
     # 0 <= j - lo < span and (i - lo) * span + (j - lo) sorts like [i, j].
     # Doubled, plus one for a minimum, it is the corner's code.

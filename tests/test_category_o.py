@@ -118,8 +118,8 @@ class TestKLTable:
         assert _rows(kept, [((1, 1, 2), 1)]) == (((2, 0, 1, 1), 1),)
         assert _rows(kept, [((1, 1, 0), 1)]) == (((2, 0), 1),)
         assert _rows(kept, [((0, 0, 0), 1)]) == (((), 1),)
-        # rows come out sorted
-        assert _rows(kept, [((1, 1, 2), 1), ((0, 0, 0), -1)]) == (((), -1), ((2, 0, 1, 1), 1))
+        # rows come out in the order of the sums
+        assert _rows(kept, [((0, 0, 0), -1), ((1, 1, 2), 1)]) == (((), -1), ((2, 0, 1, 1), 1))
 
     def test_nested_family_values(self):
         rng = random.Random(157)

@@ -546,6 +546,117 @@ class TestPackedSum:
             assert corpus.sparse_sums(signed_sum(m, name)) == (want, 8)
 
 
+def weights_naming(n):
+    return lambda iv: None if iv.is_boundary(n) else iv
+
+
+def nested_blocks(count: int, nested: bool) -> SnakeMatrix:
+    """``count`` lower-triangular 2 x 2 diagonal blocks, each with one assignment.
+
+    Block q holds three labels.  Nested, they sit at places q, count + q and
+    3 * count - 1 - q of the label order, so every block's labels straddle
+    the others'; otherwise each block's three are neighbours.
+    """
+    s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(2 * count)], 3)
+    rows = []
+    for q in range(count):
+        places = (q, count + q, 3 * count - 1 - q) if nested else (3 * q, 3 * q + 1, 3 * q + 2)
+        a, c, b = (Interval(t, t + 1) for t in places)
+        rows += [((2 * q + 1, a),), ((2 * q + 1, c), (2 * q + 2, b))]
+    return corpus.matrix_from_rows(s, tuple(rows))
+
+
+class TestSumOrder:
+    """The sums come out by descending vector, so KL rows need no sort, and the
+    expansion sorts its terms on the vectors' bytes."""
+
+    @staticmethod
+    def gens(labels, v):
+        return tuple((iv, e) for iv, e in zip(labels, v) if e)
+
+    @staticmethod
+    def key(v):
+        return determinant._generator_key(v, bytes.maketrans(b"\0", b"\xff"))
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_byte_key_sorts_like_generators(self, k):
+        labels = sorted(Interval(t, t + 1 + t % 3) for t in range(k))
+        vectors = list(itertools.product((0, 1, 2, 254), repeat=k))
+        random.Random(k).shuffle(vectors)
+        assert sorted(vectors, key=self.key) == sorted(vectors, key=lambda v: self.gens(labels, v))
+
+    def test_byte_key_on_longer_vectors(self):
+        rng = random.Random(41)
+        for k in (5, 12, 40):
+            labels = sorted(Interval(t, t + 1 + t % 3) for t in range(k))
+            vectors = list({tuple(rng.choice((0, 0, 0, 1, 2, 3, 254)) for _ in range(k)) for _ in range(500)})
+            assert sorted(vectors, key=self.key) == sorted(vectors, key=lambda v: self.gens(labels, v))
+
+    @pytest.mark.parametrize(
+        "snakes",
+        [
+            corpus.stable_corpus(0, 300),
+            corpus.prime_stable_corpus(137, 80) + corpus.nonprime_stable_corpus(1, 150),
+            [corpus.staircase(r) for r in range(4, 17)],
+            [corpus.pair_chain(16), corpus.connected_run(12)],
+        ],
+        ids=["stable", "prime-and-nonprime", "staircases", "chain-and-run"],
+    )
+    def test_sums_descend_and_rows_ascend(self, snakes):
+        for s in snakes:
+            m = snake_matrix(s)
+            for name in (_lambda_order, weights_naming(s.n)):
+                vectors = [v for v, _ in signed_sum(m, name)[1]]
+                assert all(a > b for a, b in zip(vectors, vectors[1:])), str(s)
+            rows = _rows(*signed_sum(m, _lambda_order)[:2])
+            assert rows == tuple(sorted(rows)), str(s)
+
+    def test_label_in_300_cells_sorts_on_generators(self):
+        # a 300 x 300 diagonal of one label, with a 2 x 2 block of two terms at the
+        # top: its multiplicities, 300 and 298, do not fit a byte, so the terms sort
+        # on their generators
+        s = AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(300)], 3)
+        a, b, c = Interval(0, 2), Interval(0, 1), Interval(1, 3)
+        m = corpus.matrix_from_rows(s, (((1, a), (2, b)), ((1, c), (2, a)), *(((p, a),) for p in range(3, 301))))
+        kept, sums, count = signed_sum(m, weights_naming(3))
+        assert kept == ((b, 1), (a, 300), (c, 1))
+        assert sorted(sums) == [((0, 300, 0), 1), ((1, 298, 1), -1)]
+        walked, walked_count = corpus.walked_signed_sum(m, weights_naming(3))
+        assert _weight_terms(m) == ([(LWeight(3, k), c) for k, c in sorted(walked.items())], walked_count)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            nested_blocks(5, nested=True),
+            snake_matrix(AlternatingSnake.build([[3, 6], [4, 7], [6, 9], [5, 6], [8, 9], [6, 6]], [1, 3, 4, 5, 6], 3)),
+        ],
+        ids=["synthetic", "stable-snake"],
+    )
+    def test_interleaved_blocks(self, m):
+        # a block whose kept labels straddle another block's: the fields follow the
+        # slots instead, and the vectors still come out in stand-in order, descending
+        for name in (_lambda_order, lambda iv: iv, lambda iv: None if iv.i % 2 else iv):
+            kept, sums, count = signed_sum(m, name)
+            sums = list(sums)
+            assert all(a > b for a, b in zip(sums, sums[1:]))
+            assert corpus.sparse_sums((kept, sums, count)) == corpus.walked_signed_sum(m, name)
+
+    def test_interleaved_blocks_follow_steps(self):
+        # each block's codes span its own labels, so nesting every block's labels
+        # around the others' costs about what neighbouring labels cost
+        per_block = []
+        for nested in (False, True):
+            m = nested_blocks(4000, nested)
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                _, sums, _ = signed_sum(m, _lambda_order)
+                assert len(list(sums)) == 1
+                best = min(best, time.perf_counter() - start)
+            per_block.append(best)
+        assert per_block[1] < 2 * per_block[0]
+
+
 class TestDeterminants:
     def test_two_by_two_base_case(self, pair_snake):
         m = snake_matrix(pair_snake)

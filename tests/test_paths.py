@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 import time
+import tracemalloc
 from math import comb, prod
 
 import pytest
@@ -341,6 +342,7 @@ class TestCornerJoin:
             ladder(4).mirror(),
             AlternatingSnake.single_run([[0, 1], [-1, 0]], 120),
             AlternatingSnake.single_run([[0, 3]], 3),
+            AlternatingSnake.single_run([[3, 5]], 9),
             AlternatingSnake.single_run([[1, 2], [2, 3], [3, 5], [4, 8]], 4),
         ]
         for s in join_cases() + cases:
@@ -365,6 +367,22 @@ class TestCornerJoin:
         assert len(weights) == 24_696
         assert len(set(calls)) == len(calls) and set(calls) <= layer_paths
         assert len(calls) < len(weights)
+
+    @pytest.mark.parametrize("ivs, n, count", [([[0, 1]], 20_000, 20_001), ([[3, 5]], 200, comb(201, 2))])
+    def test_one_interval_keeps_no_path(self, ivs, n, count):
+        # one layer has nothing to merge: each path's corners become its weight, and
+        # only one shared pair per corner outlives the path, so the peak stays near
+        # the weights returned (1.74x them at n = 20,000 with a code list and a
+        # label-memo entry kept per path)
+        s = AlternatingSnake.single_run(ivs, n)
+        tracemalloc.start()
+        try:
+            weights = ell_weights(s)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(weights) == count
+        assert peak < 1.25 * retained
 
 
 class TestCrossOracle:
