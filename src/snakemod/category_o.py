@@ -11,7 +11,7 @@ All vectors are in nu + rho coordinates, so everything stays integral.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from operator import getitem
 from typing import Iterable, Sequence
 
@@ -79,18 +79,13 @@ def _rows(
     their lower endpoints, and within a tie they increase.  So every vector
     gives the labels that share an upper endpoint j the same total
     multiplicity, the number of positions with that j, and the more it
-    holds of an earlier label, the smaller its row: ``signed_sum``'s
-    descending vectors give ascending rows, and no row is sorted.  Where
-    there are several sums, ``pieces[k][e]`` is label k's lower endpoint
-    repeated e times, built up to its cell count.
+    holds of an earlier label, the smaller its row: descending vectors, as
+    ``kl_table`` asks ``signed_sum`` for them, give ascending rows, and no
+    row is sorted.  ``pieces[k][e]`` is label k's lower endpoint repeated e
+    times, built up to its cell count.
     """
-    sums = iter(sums)
-    head = list(islice(sums, 2))
-    if len(head) == 1:
-        ((mults, c),) = head
-        return ((tuple(i for ((_, i), _), e in zip(kept, mults) for _ in range(e)), c),)
     pieces = [[(i,) * e for e in range(cells + 1)] for (_, i), cells in kept]
-    return tuple((tuple(chain.from_iterable(map(getitem, pieces, mults))), c) for mults, c in chain(head, sums))
+    return tuple((tuple(chain.from_iterable(map(getitem, pieces, mults))), c) for mults, c in sums)
 
 
 def kl_table(s: AlternatingSnake) -> KLTable:
@@ -115,5 +110,5 @@ def kl_table(s: AlternatingSnake) -> KLTable:
             "must be a valid interval"
         )
     lam, mu, _ = highest_weight_pair(s)
-    kept, sums, _ = signed_sum(snake_matrix(s), _lambda_order)
+    kept, sums, _ = signed_sum(snake_matrix(s), _lambda_order, descending=True)
     return KLTable(mu, lam, _rows(kept, sums))

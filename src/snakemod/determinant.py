@@ -12,7 +12,7 @@ expanded over standard module classes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, compress, islice
+from itertools import compress
 from math import comb
 from operator import getitem, itemgetter
 from struct import unpack
@@ -238,28 +238,29 @@ def _over_budget() -> UnsupportedSnakeError:
 
 
 def signed_sum(
-    m: SnakeMatrix, name: Callable[[Interval], Hashable]
+    m: SnakeMatrix, name: Callable[[Interval], Hashable], *, descending: bool = False
 ) -> tuple[tuple[tuple[Hashable, int], ...], Iterator[tuple[tuple[int, ...], int]], int]:
     """Signs of the nonzero assignments summed per multiset of their labels.
 
-    ``name`` runs once per distinct label and gives its stand-in, or None
-    to leave the label out; stand-ins are distinct and orderable.  Returns
-    the kept labels as (stand-in, cell count) pairs sorted by stand-in,
-    the nonzero sums as a one-pass iterator of (multiplicity vector, sum)
-    pairs by descending vector, and the number of assignments.  A vector
-    is a tuple with one entry per kept label, in that order, and a
-    multiplicity is at most its label's cell count; multisets that differ
-    only in left-out labels are summed together, so the vectors are
-    distinct.  Refuses before it returns, with UnsupportedSnakeError, when
-    the sweep and the labels written come to more than DET_MAX_STEPS steps.
+    ``name`` runs once per distinct label and gives its stand-in, or None to
+    leave the label out; stand-ins are distinct and orderable.  Returns the
+    kept labels as (stand-in, cell count) pairs sorted by stand-in, the
+    nonzero sums as a one-pass iterator of (multiplicity vector, sum) pairs,
+    by descending vector where ``descending`` asks for it and in no order
+    otherwise, and the number of assignments.  A vector is a tuple with one
+    entry per kept label, in that order, and a multiplicity is at most its
+    label's cell count; multisets that differ only in left-out labels are
+    summed together, so the vectors are distinct.  Refuses before it returns,
+    with UnsupportedSnakeError, when the sweep and the labels written come
+    to more than DET_MAX_STEPS steps.
 
     A multiset is keyed by one int, its multiplicity code, with a field of
-    ``width`` bytes per label.  A labelling pass names each label, counts
-    its cells and cuts the slots into the matrix's diagonal blocks: a block
-    ends at the first slot b where no slot since the last cut has a
-    candidate past b.  The kept labels take the fields in stand-in order,
-    the first stand-in the most significant, so a code written big-endian
-    is its vector and descending codes are descending vectors.  One sweep
+    ``width`` bytes per label.  A labelling pass names each label, counts its
+    cells and cuts the slots into the matrix's diagonal blocks: a block ends
+    at the first slot b where no slot since the last cut has a candidate
+    past b.  The kept labels take the fields in stand-in order, the first
+    stand-in the most significant, so a code written big-endian is its
+    vector and the codes sorted as ints give descending vectors.  One sweep
     over the slots keeps, per bitmask of used indices, its assignments'
     count and their signed sum per code, counted from the block's lowest
     kept field; the block's left-out labels take the fields just above its
@@ -267,15 +268,16 @@ def signed_sum(
     bits from the block: bit 0 stands for the earlier blocks' indices, all
     used, so a candidate among them is tried and skipped.  Placing x flips
     the sign once per larger index already used; a mask is dropped when it
-    misses an index whose last candidate slot in its block has passed, and
-    a code when its sum is zero.  At a block's end the sweep keeps the block's sums, one
-    AND clears its left-out fields and codes equal on the kept ones are
-    summed as ints, and it goes on from the one full mask.  The blocks
-    combine by adding codes, neighbours in field order first, so that only
-    the last sums span the whole matrix.  Where a block's kept labels are
-    not neighbours in stand-in order, the kept labels take their fields as
-    the slots meet them instead, so that a block's codes still span its
-    own labels, and each vector is reordered as it is decoded.
+    misses an index whose last candidate slot in its block has passed, and a
+    code when its sum is zero.  At a block's end the sweep keeps the block's
+    sums, one AND clears its left-out fields and codes equal on the kept
+    ones are summed as ints, and it goes on from the one full mask.  The
+    blocks combine by adding codes, neighbours in field order first, so that
+    only the last sums span the whole matrix.  Where a block's kept labels
+    are not neighbours in stand-in order, the kept labels take their fields
+    as the slots meet them instead, so that a block's codes still span its
+    own labels, each vector is reordered as it is decoded, and the vectors
+    themselves are sorted where ``descending`` asks.
     """
     # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
     width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
@@ -401,15 +403,12 @@ def signed_sum(
     layout = f">{len(kept)}{'BHIQ'[width.bit_length() - 1]}"
     nbytes = width * len(kept)
     # a sum is zero only where codes cancelled, in a join or under a mask
-    if pick is None:
-        vectors = (
-            (unpack(layout, code.to_bytes(nbytes, "big")), c)
-            for code in sorted(sums, reverse=True)
-            if (c := sums[code])
-        )
-    else:
-        decoded = ((pick(unpack(layout, code.to_bytes(nbytes, "big"))), c) for code, c in sums.items() if c)
-        vectors = iter(sorted(decoded, reverse=True))
+    codes = sorted(sums, reverse=True) if descending and pick is None else sums
+    vectors = ((unpack(layout, code.to_bytes(nbytes, "big")), c) for code in codes if (c := sums[code]))
+    if pick is not None:
+        vectors = ((pick(v), c) for v, c in vectors)
+        if descending:
+            vectors = iter(sorted(vectors, reverse=True))
     return tuple((t[3], t[1]) for t in kept), vectors, count
 
 
@@ -443,21 +442,16 @@ def _weight_terms(m: SnakeMatrix) -> tuple[list[tuple[LWeight, int]], int]:
     """The signed sum as (weight, coefficient) terms sorted by weight, and the
     assignment count: a boundary label is the identity generator, so it is left out.
 
-    Where there are several weights, their generators come from one table
-    of (label, multiplicity) pairs, so each pair is one object shared by
-    every weight that has it.  The terms sort on ``_generator_key`` where
+    A weight's generators come from one table of (label, multiplicity)
+    pairs, so each pair is one object shared by every weight that has it.
+    The sums come in no order, and the terms sort on ``_generator_key`` where
     every multiplicity is below 0xFF, as it is below 255 slots or 255 cells
     of each label, and only the keys are held while they sort; otherwise
     the weights themselves are sorted.  Each weight is built once.
     """
     n = m.snake.n
     kept, sums, count = signed_sum(m, lambda iv: None if iv.is_boundary(n) else iv)
-    head = list(islice(sums, 2))
-    if len(head) == 1:  # one weight: no pair to share and nothing to sort
-        ((mults, c),) = head
-        return [(LWeight(n, tuple((iv, e) for (iv, _), e in zip(kept, mults) if e)), c)], count
     pairs = [[(iv, e) for e in range(cells + 1)] for iv, cells in kept]
-    sums = chain(head, sums)
     if not (m.size < 0xFF or all(cells < 0xFF for _, cells in kept)):
         terms = [(LWeight(n, tuple(compress(map(getitem, pairs, mults), mults))), c) for mults, c in sums]
         terms.sort(key=itemgetter(0))  # distinct weights of one rank: no coefficient is compared

@@ -567,8 +567,8 @@ def nested_blocks(count: int, nested: bool) -> SnakeMatrix:
 
 
 class TestSumOrder:
-    """The sums come out by descending vector, so KL rows need no sort, and the
-    expansion sorts its terms on the vectors' bytes."""
+    """The sums come out by descending vector where asked, so KL rows need no
+    sort, and the expansion sorts its terms on the vectors' bytes."""
 
     @staticmethod
     def gens(labels, v):
@@ -606,9 +606,9 @@ class TestSumOrder:
         for s in snakes:
             m = snake_matrix(s)
             for name in (_lambda_order, weights_naming(s.n)):
-                vectors = [v for v, _ in signed_sum(m, name)[1]]
+                vectors = [v for v, _ in signed_sum(m, name, descending=True)[1]]
                 assert all(a > b for a, b in zip(vectors, vectors[1:])), str(s)
-            rows = _rows(*signed_sum(m, _lambda_order)[:2])
+            rows = _rows(*signed_sum(m, _lambda_order, descending=True)[:2])
             assert rows == tuple(sorted(rows)), str(s)
 
     def test_label_in_300_cells_sorts_on_generators(self):
@@ -635,11 +635,14 @@ class TestSumOrder:
     def test_interleaved_blocks(self, m):
         # a block whose kept labels straddle another block's: the fields follow the
         # slots instead, and the vectors still come out in stand-in order, descending
+        # where asked
         for name in (_lambda_order, lambda iv: iv, lambda iv: None if iv.i % 2 else iv):
-            kept, sums, count = signed_sum(m, name)
-            sums = list(sums)
-            assert all(a > b for a, b in zip(sums, sums[1:]))
-            assert corpus.sparse_sums((kept, sums, count)) == corpus.walked_signed_sum(m, name)
+            walked = corpus.walked_signed_sum(m, name)
+            for descending in (False, True):
+                kept, sums, count = signed_sum(m, name, descending=descending)
+                sums = list(sums)
+                assert not descending or all(a > b for a, b in zip(sums, sums[1:]))
+                assert corpus.sparse_sums((kept, sums, count)) == walked
 
     def test_interleaved_blocks_follow_steps(self):
         # each block's codes span its own labels, so nesting every block's labels
