@@ -249,13 +249,14 @@ def signed_sum(
     by descending vector where ``descending`` asks for it and in no order
     otherwise, and the number of assignments.  A vector is a tuple with one
     entry per kept label, in that order, and a multiplicity is at most its
-    label's cell count; multisets that differ only in left-out labels are
-    summed together, so the vectors are distinct.  Refuses before it returns,
-    with UnsupportedSnakeError, when the sweep and the labels written come
-    to more than DET_MAX_STEPS steps.
+    label's cell count.  A left-out label adds nothing, so multisets that
+    differ only in left-out labels are summed together and the vectors are
+    distinct.  Refuses before it returns, with UnsupportedSnakeError, when
+    the sweep and the labels written come to more than DET_MAX_STEPS steps.
 
     A multiset is keyed by one int, its multiplicity code, with a field of
-    ``width`` bytes per label.  A labelling pass names each label, counts its
+    ``width`` bytes per kept label; a left-out label has no field and adds 0
+    to a code.  A labelling pass names each label, counts a kept label's
     cells and cuts the slots into the matrix's diagonal blocks: a block ends
     at the first slot b where no slot since the last cut has a candidate
     past b.  The kept labels take the fields in stand-in order, the first
@@ -263,53 +264,51 @@ def signed_sum(
     vector and the codes sorted as ints give descending vectors.  One sweep
     over the slots keeps, per bitmask of used indices, its assignments'
     count and their signed sum per code, counted from the block's lowest
-    kept field; the block's left-out labels take the fields just above its
-    kept ones, so a code spans the block's own labels.  A mask counts its
-    bits from the block: bit 0 stands for the earlier blocks' indices, all
-    used, so a candidate among them is tried and skipped.  Placing x flips
-    the sign once per larger index already used; a mask is dropped when it
-    misses an index whose last candidate slot in its block has passed, and a
-    code when its sum is zero.  At a block's end the sweep keeps the block's
-    sums, one AND clears its left-out fields and codes equal on the kept
-    ones are summed as ints, and it goes on from the one full mask.  The
-    blocks combine by adding codes, neighbours in field order first, so that
-    only the last sums span the whole matrix.  Where a block's kept labels
-    are not neighbours in stand-in order, the kept labels take their fields
-    as the slots meet them instead, so that a block's codes still span its
-    own labels, each vector is reordered as it is decoded, and the vectors
+    kept field, so a code spans the block's own kept labels.  A mask counts
+    its bits from the block: bit 0 stands for the earlier blocks' indices,
+    all used, so a candidate among them is tried and skipped.  Placing x
+    flips the sign once per larger index already used; a mask is dropped
+    when it misses an index whose last candidate slot in its block has
+    passed, and a code when its sum is zero.  At a block's end the sweep
+    keeps the block's sums and goes on from the one full mask.  The blocks
+    combine by adding codes, neighbours in field order first, so that only
+    the last sums span the whole matrix.  Where a block's kept labels are
+    not neighbours in stand-in order, the kept labels take their fields as
+    the slots meet them instead, so that a block's codes still span its own
+    labels, each vector is reordered as it is decoded, and the vectors
     themselves are sorted where ``descending`` asks.
     """
     # a multiplicity is at most m.size: 1 byte below 256 slots, 2 below 65,536, then 4 or 8
     width = 1 << ((m.size.bit_length() - 1) // 8).bit_length()
     bits = 8 * width
-    # per label: its field, its cell count (which bounds its multiplicity),
-    # the last block holding it, its stand-in and, where kept, its place
-    # among the kept labels as the slots meet them
-    tables: dict[Interval, list] = {}
+    # per kept label: its field, its cell count (which bounds its multiplicity),
+    # the last block holding it, its stand-in and its place among the kept
+    # labels as the slots meet them; a left-out label's table is None
+    tables: dict[Interval, list | None] = {}
     kept: list[list] = []
     cand = _slots(m)
     last = [0] * (m.size + 1)  # per index, the last slot of its own block listing it
-    # the tables of each block's kept labels, and of its left-out labels, block after block
-    mine: list[list] = []
-    others: list[list] = []
-    cuts = []  # per block, its last slot and the ends of its tables in those lists
+    mine: list[list] = []  # the tables of each block's kept labels, block after block
+    cuts = []  # per block, its last slot and the end of its tables in mine
     start = hi = block = 0
     for b, line in enumerate(cand, 1):
         for x, iv in line:
-            table = tables.get(iv)
-            if table is None:
-                table = tables[iv] = [0, 0, -1, name(iv), len(kept)]
-                if table[3] is not None:
+            table = tables.get(iv, False)
+            if table is False:  # not named yet
+                key = name(iv)
+                table = tables[iv] = None if key is None else [0, 0, -1, key, len(kept)]
+                if table is not None:
                     kept.append(table)
-            table[1] += 1
-            if table[2] != block:
-                table[2] = block
-                (mine if table[3] is not None else others).append(table)
+            if table is not None:
+                table[1] += 1
+                if table[2] != block:
+                    table[2] = block
+                    mine.append(table)
             if x > start:  # indices up to start belong to the earlier blocks
                 last[x] = b
         hi = max(hi, line[-1][0]) if line else hi
         if hi <= b:
-            cuts.append((b, len(mine), len(others)))
+            cuts.append((b, len(mine)))
             start = b
             block += 1
     kept.sort(key=itemgetter(3))
@@ -321,7 +320,7 @@ def signed_sum(
     # together, and each vector is put in stand-in order as it is decoded.
     pick = None
     first = 0
-    for _, stop, _ in cuts if len(cuts) > 1 else ():  # a lone block holds every kept field
+    for _, stop in cuts if len(cuts) > 1 else ():  # a lone block holds every kept field
         if stop > first + 1:
             fields = [t[0] for t in mine[first:stop]]
             if max(fields) - min(fields) >= stop - first:
@@ -334,27 +333,24 @@ def signed_sum(
     count, combos, steps, budget = 1, 1, 0, DET_MAX_STEPS
     states: dict[int, list] = {1: [{0: 1}, 1]}
     blocks = iter(cuts)
-    need = start = end = first = first_out = 0
+    need = start = end = first = 0
     for b, line in enumerate(cand, 1):
-        if b > end:  # a block starts: its kept fields, and its left-out labels' fields just above them
-            end, stop, stop_out = next(blocks)
+        if b > end:  # a block starts: the lowest of its kept fields
+            end, stop = next(blocks)
             if len(cuts) == 1:
-                low, high = 0, len(kept) - 1
+                low = 0
             elif stop == first + 1:
-                low = high = mine[first][0]
-            elif stop == first:  # no kept label: every code masks to 0
-                low, high = len(kept), len(kept) - 1
+                low = mine[first][0]
+            elif stop == first:  # no kept label: its code is 0, and from above every field
+                low = len(kept)  # it moves no other block's codes in a join
             else:
-                fields = [t[0] for t in mine[first:stop]]
-                low, high = min(fields), max(fields)
-            keep = None  # where it holds a left-out label, the mask of its kept fields
-            if stop_out > first_out:
-                for field, table in enumerate(others[first_out:stop_out], high + 1):
-                    table[0] = field
-                keep = (1 << bits * (high + 1 - low)) - 1
-            first, first_out = stop, stop_out
+                low = min(t[0] for t in mine[first:stop])
+            first = stop
         need |= sum(1 << x - start for x, _ in line if last[x] == b)
-        units = [(max(x - start, 0), 1 << bits * (tables[iv][0] - low)) for x, iv in line]
+        # a left-out label adds nothing to a code
+        units = [
+            (max(x - start, 0), 0 if (t := tables[iv]) is None else 1 << bits * (t[0] - low)) for x, iv in line
+        ]
         size = b - start  # the slots placed so far in the block
         nxt: dict[int, list] = {}
         for used, (terms, ways) in states.items():
@@ -384,12 +380,6 @@ def signed_sum(
             terms, ways = states.get((1 << b - start + 1) - 1, ({}, 0))
             count *= ways
             combos *= len(terms)
-            if keep is not None:  # codes equal on the kept fields sum as one
-                merged: dict[int, int] = {}
-                for code, c in terms.items():
-                    code &= keep
-                    merged[code] = merged.get(code, 0) + c
-                terms = merged
             parts.append((low, terms))
             states, need, start = {1: [{0: 1}, 1]}, 0, b
     if steps + combos * m.size > budget:
@@ -402,7 +392,7 @@ def signed_sum(
     sums = parts[0][1]  # its lowest field is field 0, which some block holds
     layout = f">{len(kept)}{'BHIQ'[width.bit_length() - 1]}"
     nbytes = width * len(kept)
-    # a sum is zero only where codes cancelled, in a join or under a mask
+    # a sum is zero only where codes cancelled in a join
     codes = sorted(sums, reverse=True) if descending and pick is None else sums
     vectors = ((unpack(layout, code.to_bytes(nbytes, "big")), c) for code in codes if (c := sums[code]))
     if pick is not None:

@@ -333,6 +333,42 @@ class TestSweep:
         assert calls == ["_assignments", "walk"]
 
 
+def weights_naming(n):
+    return lambda iv: None if iv.is_boundary(n) else iv
+
+
+# Per matrix: its id, the steps of both production namings and the steps with
+# every label left out.  The weights leave out only boundary labels (j - i is 0
+# or n + 1), and a used mask with the kept labels placed so far leaves one way to
+# pair the remaining endpoints into boundary labels, so leaving them out merges
+# no two codes and both namings take the same steps.  With every label left out,
+# each mask has the one code 0.
+PINNED_STEPS = [
+    ("staircase-16", snake_matrix(corpus.staircase(16)), 186_664, 228),
+    ("pair-chain-24", snake_matrix(corpus.pair_chain(24)), 98_448, 144),
+    ("connected-run-20", snake_matrix(corpus.connected_run(20)), 936_074, 528),
+    (
+        "disconnected-run-1000",
+        snake_matrix(AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(1000)], 3)),
+        3_000,
+        3_000,
+    ),
+    ("shared-label", snake_matrix(AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6)), 57, 29),
+    # an ascending first run, so the slots are these rows: slot 4 lists index 1
+    # of the first block, and masks without 1 are still dropped after slot 2;
+    # every cell has the one label, so every mask has one code under any naming
+    (
+        "index-past-its-block",
+        corpus.matrix_from_rows(
+            AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6),
+            tuple(tuple((x, Interval(0, 1)) for x in line) for line in [(1, 2), (1, 2, 3), (2, 3), (1, 4)]),
+        ),
+        30,
+        30,
+    ),
+]
+
+
 class TestPackedSum:
     """The sweep keys each term by a packed multiplicity code: one count field per label."""
 
@@ -345,39 +381,18 @@ class TestPackedSum:
                 standard_expansion(s)
 
     @pytest.mark.parametrize(
-        "m, steps",
-        [
-            (snake_matrix(corpus.staircase(16)), 186_664),
-            (snake_matrix(corpus.pair_chain(24)), 98_448),
-            (snake_matrix(corpus.connected_run(20)), 936_074),
-            (snake_matrix(AlternatingSnake.single_run([[-3 * t, -3 * t + 1] for t in range(1000)], 3)), 3_000),
-            (snake_matrix(AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6)), 57),
-            # an ascending first run, so the slots are these rows: slot 4 lists index 1
-            # of the first block, and masks without 1 are still dropped after slot 2
-            (
-                corpus.matrix_from_rows(
-                    AlternatingSnake.build([[-1, 4], [2, 5], [5, 6], [2, 4]], [1, 3, 4], 6),
-                    tuple(tuple((x, Interval(0, 1)) for x in line) for line in [(1, 2), (1, 2, 3), (2, 3), (1, 4)]),
-                ),
-                30,
-            ),
-        ],
-        ids=[
-            "staircase-16",
-            "pair-chain-24",
-            "connected-run-20",
-            "disconnected-run-1000",
-            "shared-label",
-            "index-past-its-block",
-        ],
+        "m, name, steps",
+        [pytest.param(m, _lambda_order, steps, id=key) for key, m, steps, _ in PINNED_STEPS]
+        + [pytest.param(m, weights_naming(m.snake.n), steps, id=f"{key}-weights") for key, m, steps, _ in PINNED_STEPS]
+        + [pytest.param(m, lambda iv: None, steps, id=f"{key}-none") for key, m, _, steps in PINNED_STEPS],
     )
-    def test_step_total_pinned(self, monkeypatch, m, steps):
+    def test_step_total_pinned(self, monkeypatch, m, name, steps):
         # each matrix is answered with exactly ``steps`` steps allowed and refused with one fewer
         monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps)
-        signed_sum(m, _lambda_order)
+        signed_sum(m, name)
         monkeypatch.setattr(determinant, "DET_MAX_STEPS", steps - 1)
         with pytest.raises(UnsupportedSnakeError, match=f"more than {steps - 1} steps"):
-            signed_sum(m, _lambda_order)
+            signed_sum(m, name)
 
     @pytest.mark.parametrize("r", [255, 256, 1000])  # one-byte fields below 256 slots, two from 256
     def test_field_widths(self, r):
@@ -494,7 +509,7 @@ class TestPackedSum:
         [
             (_lambda_order, lambda t: (-3 * t, -3 * t + 1)),
             # lengths cycle 0, 1, 2, 3, 4 at n = 3: two labels in five are boundary
-            # labels, left out, so the codes go through the keep mask
+            # labels, left out, so two blocks in five hold no kept label
             (lambda iv: None if iv.is_boundary(3) else iv, lambda t: (-5 * t, -5 * t + t % 5)),
         ],
         ids=["kl-rows", "weights"],
@@ -502,7 +517,7 @@ class TestPackedSum:
     def test_time_per_slot_flat(self, name, interval):
         # a chain of one-slot blocks: each mask counts its bits from its own block,
         # so the sweep's time per slot does not grow with the slots before it, and
-        # neither does the decode's, the keep mask's included
+        # neither does the decode's
         per_slot = []
         for r in (10_000, 80_000):
             s = AlternatingSnake.single_run([interval(t) for t in range(r)], 3)
@@ -544,10 +559,6 @@ class TestPackedSum:
                 k = tuple(sorted(fixed + named))
                 want[k] = want.get(k, 0) + math.prod(sign for sign, _ in terms)
             assert corpus.sparse_sums(signed_sum(m, name)) == (want, 8)
-
-
-def weights_naming(n):
-    return lambda iv: None if iv.is_boundary(n) else iv
 
 
 def nested_blocks(count: int, nested: bool) -> SnakeMatrix:
