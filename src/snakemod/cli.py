@@ -23,9 +23,6 @@ EXIT_INPUT = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-# ell_weights' work, memory and output grow with the tuples times their layers and down steps
-CHARACTER_MAX_STEPS = 400_000
-
 
 def _read_json(path: str):
     try:
@@ -127,54 +124,17 @@ def cmd_det_formula(data, args) -> dict:
     return payload
 
 
-def _dimension_within_limit(s, steps: int) -> int:
-    """The dimension of the single run ``s``, refused as soon as it is seen
-    to pass CHARACTER_MAX_STEPS with ``steps`` layers and down steps a tuple.
-
-    The dimension of the first c positions is taken for c = 1, 2, 4, ..., r,
-    and at c = r it is exact.  It never decreases in c.  For a descending run
-    the first c positions are the first c layers of the stacked walk, which
-    never dead-ends (``paths._stacked_children``), so every tuple of them
-    extends to one of the whole run.  Mirroring turns an ascending run into
-    a descending one position by position, and the mirror's evaluated matrix
-    is the transpose, so each prefix keeps its dimension.  These prefix
-    dimensions are also ``det_dimension``'s pivots.  So a prefix that passes
-    the limit refuses the run, and input that is answered is answered with
-    the exact count.  A c-position prefix has a matrix of O(c^2) cells, so
-    the doubling costs at most a constant factor more than the exact count
-    alone.
-    """
-    from .paths import _as_left_run, snake_dimension
-
-    _as_left_run(s)  # several runs are refused before any count
-    r, c = s.r, 1
-    while True:
-        c = min(c, r)
-        dim = snake_dimension(s.segment(0, c))
-        if dim * steps > CHARACTER_MAX_STEPS:
-            raise UnsupportedSnakeError(
-                f"character would enumerate path tuples of {_count(steps)} layers and down steps "
-                f"each, and the first {c} of the {r} layers alone have {_count(dim)} of them, "
-                f"{_count(dim * steps)} steps; the limit is {CHARACTER_MAX_STEPS}"
-            )
-        if c == r:
-            return dim
-        c *= 2
-
-
 def cmd_character(data, args) -> dict:
     from .paths import ell_weights
 
     s = _load_snake(data, args.n)
-    steps = s.r + sum(iv.length for iv in s.intervals)
-    dim = _dimension_within_limit(s, steps)
     # weights of one rank sort by gens; comparing whole weights would scan each gens twice
     weights = sorted(ell_weights(s), key=attrgetter("gens"))
     # fail before the first byte is written if a corner, which can end past the input, has too many digits
     str(max((iv.j for w in weights for iv, _ in w.gens), default=0))
     return {
         "snake": s.to_json(),
-        "dim": dim,
+        "dim": len(weights),  # one weight per tuple (thin character)
         "weights": [w.to_json() for w in weights],
     }
 

@@ -13,11 +13,16 @@ explicit paths as oracles.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .determinant import det_dimension, snake_matrix, walk
-from .errors import UnsupportedSnakeError
+from .errors import UnsupportedSnakeError, _count
 from .intervals import Interval
 from .lweight import LWeight
 from .snakes import LEFT, AlternatingSnake
+
+# ell_weights' work, memory and output grow with the tuples times their layers and down steps
+CHARACTER_MAX_STEPS = 400_000
 
 
 def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int]]:
@@ -37,14 +42,16 @@ def _corners(downs: tuple[int, ...], j: int, n: int) -> list[tuple[Interval, int
     return out
 
 
-def _stacked_children(intervals, n, label):
+def _stacked_children(intervals, n, label, take=list):
     """The paths of each layer strictly below a path of the layer above.
 
     ``children(t, above)`` lists the down-step sets of layer t that lie
     strictly below the down-step set ``above`` of layer t - 1 (below nothing
     when t = 0), in lexicographic order, each paired with ``label(t, downs)``.
-    Lists are kept per (t, above); ``label`` runs once per layer path, and
-    its (downs, label) pair is shared by every list holding it.  With
+    ``take`` turns the layer's iterator into the list of its down-step sets
+    before any is labelled, so it may count them or refuse.  Lists are kept
+    per (t, above); ``label`` runs once per layer path, and its (downs,
+    label) pair is shared by every list holding it.  With
     d = j_t - j_{t+1} >= 1 and i_t > i_{t+1}, the path D' of layer t+1 lies
     strictly below the path D of layer t exactly when D'[m] <= D[m + d - 1]
     wherever the right side exists.  The lowest down-step set always
@@ -61,7 +68,7 @@ def _stacked_children(intervals, n, label):
 
     def children(t, above):
         if (t, above) not in memo:
-            memo[t, above] = [labelled(t, downs) for downs in _layer(intervals, n, t, above)]
+            memo[t, above] = [labelled(t, downs) for downs in take(_layer(intervals, n, t, above))]
         return memo[t, above]
 
     return children
@@ -87,12 +94,40 @@ def _as_left_run(s: AlternatingSnake) -> tuple[Interval, ...]:
 
 
 def ell_weights(s: AlternatingSnake) -> set[LWeight]:
-    """The set of tuple weights; equals the weight support of the snake class."""
+    """The set of tuple weights; equals the weight support of the snake class.
+
+    There is one weight per tuple, so the set's size is the dimension.  A
+    tuple takes ``steps`` = r + the sum of the lengths j_t - i_t, its layers
+    and down steps, and the run is refused once the tuples counted times
+    ``steps`` pass CHARACTER_MAX_STEPS.  The walk counts a layer list before
+    labelling any of it, and the tuples it has reached.  No walk dead-ends
+    (``_stacked_children``), so each count is at most the dimension, and at
+    the end the tally is the dimension: exactly the runs whose dimension
+    times ``steps`` passes the limit are refused.
+    """
     ivs = _as_left_run(s)
     n, last = s.n, len(ivs) - 1
+    steps = len(ivs) + sum(iv.length for iv in ivs)
+    cap = CHARACTER_MAX_STEPS // steps
+
+    def within(tuples: int) -> int:
+        if tuples > cap:
+            raise UnsupportedSnakeError(
+                f"the path model would enumerate tuples of {_count(steps)} layers and down steps each, "
+                f"at least {tuples} of them, {_count(tuples * steps)} steps; the limit is {CHARACTER_MAX_STEPS}"
+            )
+        return tuples
+
+    def take(layer) -> list:
+        layer = [*islice(layer, cap + 1)]
+        within(len(layer))
+        return layer
+
+    within(1)  # every run has a tuple
     if not last:  # one layer: a path's sorted corners are its weight, each corner one shared pair
         j, share = ivs[0].j, {}.setdefault
         weights: set[LWeight] = set()
+        within(sum(1 for _ in islice(_layer(ivs, n, 0, ()), cap + 1)))
         for downs in _layer(ivs, n, 0, ()):
             corners = sorted(_corners(downs, j, n))
             weights.add(LWeight(n, tuple(map(share, corners, corners))))
@@ -113,7 +148,7 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
             out.append(code)
         return sorted(out)
 
-    children = _stacked_children(ivs, n, codes)
+    children = _stacked_children(ivs, n, codes, take)
     gens = pair_of.__getitem__
     weights: set[LWeight] = set()
     # A corner [i, j] is the point (j - i, i + j) of its path, and strictly
@@ -122,10 +157,11 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     # walk holds the merged codes of the layers above it.  The gens tuple is
     # copied from a list, which sizes it exactly; a tuple grown from an
     # iterator keeps its larger first block.
-    nodes = [(0, (), [])]
+    nodes, tuples = [(0, (), [])], 0
     while nodes:
         t, above, prefix = nodes.pop()
         if t == last:
+            tuples = within(tuples + len(children(t, above)))
             weights.update([LWeight(n, tuple([*map(gens, sorted(prefix + c))])) for _, c in children(t, above)])
         else:
             nodes.extend((t + 1, downs, sorted(prefix + c)) for downs, c in children(t, above))

@@ -21,6 +21,7 @@ from snakemod import (
     kl_table,
     leq,
     minor_identity_holds,
+    paths,
     rectangle_root_product,
     root_decompose,
     snake_dimension,
@@ -178,7 +179,9 @@ def test_criterion_08_dimension_cross_oracle():
     report(8, f"path count equals both determinant dimensions on {checked} single-run snakes", problems)
 
 
-def test_criterion_09_dominant_weight_uniqueness():
+def test_criterion_09_dominant_weight_uniqueness(monkeypatch):
+    # dimension 60,000 times at most r + r(n + 1) = 32 steps a tuple passes the path model's limit
+    monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 60_000 * 32)
     problems = []
     rng = random.Random(257)
     checked = 0

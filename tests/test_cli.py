@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 import corpus
 import snakemod
 from snakemod import determinant
-from snakemod.cli import CHARACTER_MAX_STEPS, _emit, cmd_character, main
+from snakemod.cli import _emit, cmd_character, main
 from snakemod.determinant import DET_MAX_STEPS, det_laplace
 from snakemod.errors import _count
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
+from snakemod.paths import CHARACTER_MAX_STEPS
 
 EXAMPLE_ONE = {
     "n": 5,
@@ -331,48 +332,42 @@ class TestCharacter:
         assert json.loads(err)["error"] == "refused"
 
     @staticmethod
-    def refusing_prefix(run, err, steps):
-        """The layers c of the prefix that refused ``run``, checked against the message.
+    def refused_count(run, err, steps):
+        """The tuples the walk counted before it refused ``run``, checked against the message.
 
-        The message gives the steps per tuple and the exact dimension of the first
-        c positions, in either run direction; c is the first of 1, 2, 4, ..., r whose
-        dimension times the steps passes the limit.
+        The message gives the steps per tuple and a count D of tuples, with
+        D times the steps past the limit.  D is a lower bound on the dimension,
+        checked against the whole run's on short runs and against one
+        position's (never more than the run's) on long ones.
         """
         report = json.loads(err)
         assert report["error"] == "refused"
         found = re.fullmatch(
-            r"character would enumerate path tuples of (\d+) layers and down steps each, and the "
-            r"first (\d+) of the (\d+) layers alone have (.+) of them, (.+) steps; "
-            rf"the limit is {CHARACTER_MAX_STEPS}",
+            r"the path model would enumerate tuples of (\d+) layers and down steps each, "
+            rf"at least (\d+) of them, (.+) steps; the limit is {CHARACTER_MAX_STEPS}",
             report["message"],
         )
         assert found, report["message"]
         s = snakemod.AlternatingSnake.from_json(run)
-        c, r = int(found[2]), int(found[3])
-        assert (int(found[1]), r) == (steps, s.r)
-
-        def dim(c):
-            return snakemod.snake_dimension(s.segment(0, c))
-
-        assert (found[4], found[5]) == (_count(dim(c)), _count(dim(c) * steps))
-        assert dim(c) * steps > CHARACTER_MAX_STEPS
-        # the prefix counted before it: the largest power of two below c
-        assert c == 1 or dim(1 << (c - 1).bit_length() - 1) * steps <= CHARACTER_MAX_STEPS
-        assert c == r or c & (c - 1) == 0
-        return c
+        d = int(found[2])
+        assert int(found[1]) == steps == s.r + sum(iv.length for iv in s.intervals)
+        assert found[3] == _count(d * steps)
+        assert d * steps > CHARACTER_MAX_STEPS
+        assert d <= snakemod.snake_dimension(s if s.r <= 8 else s.segment(0, 1))
+        return d
 
     def test_too_many_tuples_refused(self, tmp_path, capsys):
-        # 1,646,568 tuples of 25 steps; the first four layers already pass the limit
+        # 1,646,568 tuples of 25 steps; the walk refuses once it has counted 16,001
         run = {"n": 7, "intervals": [[0, 4], [-1, 3], [-2, 2], [-3, 1], [-4, 0]], "breaks": [1, 5]}
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert code == 3
         assert out == ""
-        assert self.refusing_prefix(run, err, 25) == 4
+        assert self.refused_count(run, err, 25) == 16_001
 
     def test_connected_run_refused_with_exact_count(self, tmp_path, capsys):
-        # the first layer alone has C(403, 2) = 81,003 tuples of 1,200 steps, so
-        # the run is refused before its own dimension is computed (that took
-        # about 1.3 s as a process, Python 3.11, 2 CPUs)
+        # the first layer alone has C(403, 2) = 81,003 paths, and tuples take 1,200
+        # steps, so the run is refused once 334 of them are counted (its own
+        # dimension took about 1.3 s as a process, Python 3.11, 2 CPUs)
         r = 400
         run = {"n": r + 2, "intervals": [[-t, -t + 2] for t in range(r)], "breaks": [1, r]}
         start = time.perf_counter()
@@ -380,13 +375,13 @@ class TestCharacter:
         assert time.perf_counter() - start < 10
         assert code == 3
         assert out == ""
-        assert self.refusing_prefix(run, err, 1200) == 1
+        assert self.refused_count(run, err, 1200) == 334
 
     @pytest.mark.parametrize("r", [1000, 5000])
     @pytest.mark.parametrize("mirrored", [False, True], ids=["descending", "ascending"])
     def test_connected_run_refused_at_scale(self, tmp_path, capsys, r, mirrored):
-        # its exact dimension took 6.2 s at r = 640; the first layer refuses it
-        # in a few milliseconds in-process at r = 5000 (Python 3.11, 2 CPUs)
+        # its exact dimension took 6.2 s at r = 640; the first layer list refuses
+        # it in a few milliseconds in-process at r = 5000 (Python 3.11, 2 CPUs)
         ivs = [[-t, -t + 2] for t in range(r)]
         if mirrored:
             ivs = [[-j, -i] for i, j in ivs]
@@ -396,7 +391,7 @@ class TestCharacter:
         code, out, err = run_cli(["character", path], capsys)
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert self.refusing_prefix(run, err, 3 * r) == 1
+        assert self.refused_count(run, err, 3 * r) == CHARACTER_MAX_STEPS // (3 * r) + 1
 
     @pytest.mark.parametrize(
         "run",
@@ -416,35 +411,48 @@ class TestCharacter:
         assert len(report["weights"]) == report["dim"]
 
     @pytest.mark.parametrize(
-        "run, steps, c",
+        "run, steps",
         [
-            ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 10**7 + 2, 1),
-            ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001, 1),
-            # the first two layers have 6,936 tuples, under the limit, so the whole
-            # run's 197,676 are counted
-            ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 48, 3),
+            ({"n": 10**7, "intervals": [[0, 10**7 + 1]], "breaks": [1]}, 10**7 + 2),
+            ({"n": 100_000, "intervals": [[0, 100_000]], "breaks": [1]}, 100_001),
+            # 197,676 tuples of 48 steps; the first two layers have only 6,936
+            ({"n": 16, "intervals": [[0, 15], [-1, 14], [-2, 13]], "breaks": [1, 3]}, 48),
             # about 10^5000 tuples: more digits than Python converts an int to str
-            ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, 3, 1),
-            # ascending: the first four positions have 3,240 tuples, under the limit,
-            # so the whole run's 40,652,136 are counted (its last four have 23,940)
-            (
-                {"n": 5, "intervals": [[-4, -1], [-1, 0], [0, 1], [1, 3], [2, 5], [4, 7], [5, 8], [7, 9]], "breaks": [1, 8]},
-                26,
-                8,
-            ),
+            ({"n": 10**2500, "intervals": [[0, 2]], "breaks": [1]}, 3),
+            # ascending, 40,652,136 tuples; its first four positions have 3,240 and its last four 23,940
+            ({"n": 5, "intervals": [[-4, -1], [-1, 0], [0, 1], [1, 3], [2, 5], [4, 7], [5, 8], [7, 9]], "breaks": [1, 8]}, 26),
         ],
         ids=["one-path", "one-interval", "triple", "past-digit-limit", "ascending"],
     )
-    def test_long_tuples_refused(self, tmp_path, capsys, run, steps, c):
+    def test_long_tuples_refused(self, tmp_path, capsys, run, steps):
         # the work is the tuples times the down steps of each, not the tuples alone
         start = time.perf_counter()
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert time.perf_counter() - start < 2
         assert code == 3
         assert out == ""
-        assert self.refusing_prefix(run, err, steps) == c
-        if run["n"] == 10**2500:
-            assert "have at least 10^4999 of them" in json.loads(err)["message"]
+        self.refused_count(run, err, steps)
+
+    def test_steps_past_digit_limit_refused(self):
+        # two intervals of length n = 10^4300 - 1, the largest rank JSON reads: the steps
+        # per tuple, 2n + 2, have more digits than Python converts an int to str
+        n = 10**4300 - 1
+        run = {"n": n, "intervals": [[0, n], [-1, n - 1]], "breaks": [1, 2]}
+        code, out, err = run_in_process(["character", "-"], json.dumps(run))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith(
+            "the path model would enumerate tuples of at least 10^4300 layers and down steps each, at least 1 of them"
+        )
+
+    def test_answers_without_the_determinant(self, tmp_path, capsys, monkeypatch):
+        # the walk counts its own tuples, so no dimension is computed beside it
+        calls = []
+        for module in (determinant, snakemod.paths):
+            monkeypatch.setattr(module, "det_dimension", lambda *args: calls.append(args))
+        for run, dim in ((PAIR, 6), (TRIPLE, 50)):
+            code, out, _ = run_cli(["character", write(tmp_path, run)], capsys)
+            assert (code, json.loads(out)["dim"]) == (0, dim)
+        assert calls == []
 
 
 class TestKL:

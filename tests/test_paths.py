@@ -234,9 +234,8 @@ class TestDimension:
         assert snake_dimension(s) == prod(comb(4, j - i) for i, j in ivs)
 
     def test_prefix_and_suffix_dimensions_never_decrease(self):
-        # `character` refuses on the first position prefix whose dimension is too
-        # large, in either run direction, which is sound because the dimensions
-        # rise with the prefix
+        # a run has at least as many tuples as any of its prefixes and suffixes,
+        # in either run direction
         rng = random.Random(3)
         runs = [
             corpus.random_single_run(rng, rng.randint(1, 9), rng.randint(1, 9), rng.random() < 0.5)
@@ -303,6 +302,67 @@ class TestWeights:
             for w in ell_weights(s):
                 assert root_decompose(top * w.inverse()) is not None
                 assert leq(w, top)
+
+
+def steps(s: AlternatingSnake) -> int:
+    """The layers and down steps of one stacked tuple of the single run ``s``."""
+    return s.r + sum(iv.length for iv in s.intervals)
+
+
+class TestStepLimit:
+    """ell_weights refuses a run whose dimension times its steps per tuple passes the limit."""
+
+    def test_refuses_exactly_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 2_000)
+        rng = random.Random(163)
+        runs = [
+            corpus.random_single_run(rng, rng.randint(1, 6), rng.randint(1, 6), rng.random() < 0.5)
+            for _ in range(150)
+        ]
+        runs += [f(r) for r in range(1, 6) for f in (ladder, connected_run)]
+        refused = 0
+        for s in runs:
+            dim = snake_dimension(s)
+            if dim * steps(s) > 2_000:
+                with pytest.raises(UnsupportedSnakeError, match="the limit is 2000$"):
+                    ell_weights(s)
+                refused += 1
+            else:
+                assert len(ell_weights(s)) == dim, str(s)
+        assert 0 < refused < len(runs)
+
+    def test_one_long_path_at_the_limit(self):
+        # [[0, n + 1]] has one path of n + 1 down steps, so n + 2 steps
+        ok = AlternatingSnake.single_run([[0, 399_999]], 399_998)
+        assert ell_weights(ok) == {LWeight.identity(399_998)}
+        with pytest.raises(UnsupportedSnakeError, match="at least 1 of them, 400001 steps"):
+            ell_weights(AlternatingSnake.single_run([[0, 400_000]], 399_999))
+
+    def test_refusal_labels_at_most_the_cap_per_list(self, monkeypatch):
+        # each layer list is counted before any of its paths is labelled
+        monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 2_000)
+        log = []
+        corners, layer = paths._corners, paths._layer
+        monkeypatch.setattr(paths, "_corners", lambda *args: log.append(0) or corners(*args))
+        monkeypatch.setattr(paths, "_layer", lambda *args: log.append(None) or layer(*args))
+        cases = [
+            AlternatingSnake.single_run([[0, 1]], 20_000),
+            AlternatingSnake.single_run([[0, 1], [-1, 0]], 300),
+            ladder(4),
+            ladder(4).mirror(),
+            connected_run(40),
+        ]
+        for s in cases:
+            log.clear()
+            with pytest.raises(UnsupportedSnakeError):
+                ell_weights(s)
+            labelled = [0]
+            for entry in log:
+                if entry is None:
+                    labelled.append(0)
+                else:
+                    labelled[-1] += 1
+            assert max(labelled) <= 2_000 // steps(s) + 1, str(s)
 
 
 def join_cases() -> list[AlternatingSnake]:
