@@ -14,6 +14,7 @@ explicit paths as oracles.
 from __future__ import annotations
 
 from itertools import islice
+from math import comb
 
 from .determinant import det_dimension, snake_matrix, walk
 from .errors import UnsupportedSnakeError, _count
@@ -100,7 +101,8 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     tuple takes ``steps`` = r + the sum of the lengths j_t - i_t, its layers
     and down steps, and the run is refused once the tuples counted times
     ``steps`` pass CHARACTER_MAX_STEPS.  The walk counts a layer list before
-    labelling any of it, and the tuples it has reached.  No walk dead-ends
+    labelling any of it, and the tuples it has reached plus the nodes still
+    pending on its stack.  No walk dead-ends
     (``_stacked_children``), so each count is at most the dimension, and at
     the end the tally is the dimension: exactly the runs whose dimension
     times ``steps`` passes the limit are refused.
@@ -110,13 +112,12 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     steps = len(ivs) + sum(iv.length for iv in ivs)
     cap = CHARACTER_MAX_STEPS // steps
 
-    def within(tuples: int) -> int:
+    def within(tuples: int) -> None:
         if tuples > cap:
             raise UnsupportedSnakeError(
                 f"the path model would enumerate tuples of {_count(steps)} layers and down steps each, "
                 f"at least {tuples} of them, {_count(tuples * steps)} steps; the limit is {CHARACTER_MAX_STEPS}"
             )
-        return tuples
 
     def take(layer) -> list:
         layer = [*islice(layer, cap + 1)]
@@ -125,13 +126,13 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
 
     within(1)  # every run has a tuple
     if not last:  # one layer: a path's sorted corners are its weight, each corner one shared pair
-        j, share = ivs[0].j, {}.setdefault
-        weights: set[LWeight] = set()
-        within(sum(1 for _ in islice(_layer(ivs, n, 0, ()), cap + 1)))
-        for downs in _layer(ivs, n, 0, ()):
-            corners = sorted(_corners(downs, j, n))
-            weights.add(LWeight(n, tuple(map(share, corners, corners))))
-        return weights
+        (iv,), share = ivs, {}.setdefault
+        # its C(n + 1, length) paths, counted without a walk: C(m, k) >= 2^k for
+        # k <= m / 2, so once k reaches cap's bit length the count is past cap,
+        # and cap + 1 stands for any larger count
+        within(min(comb(n + 1, min(iv.length, n + 1 - iv.length, cap.bit_length())), cap + 1))
+        corners = (sorted(_corners(downs, iv.j, n)) for downs in _layer(ivs, n, 0, ()))
+        return {LWeight(n, tuple(map(share, c, c))) for c in corners}
     # A corner [i, j] of layer t has i_t <= i and j_t <= j <= i_t + n + 1, so
     # 0 <= j - lo < span and (i - lo) * span + (j - lo) sorts like [i, j].
     # Doubled, plus one for a minimum, it is the corner's code.
@@ -156,15 +157,19 @@ def ell_weights(s: AlternatingSnake) -> set[LWeight]:
     # weight is the sorted union of the layers' corners.  Each node of the
     # walk holds the merged codes of the layers above it.  The gens tuple is
     # copied from a list, which sizes it exactly; a tuple grown from an
-    # iterator keeps its larger first block.
+    # iterator keeps its larger first block.  Each pending node roots tuples
+    # of its own, so the tuples tallied plus the nodes pending are at most
+    # the dimension, and the stack never holds more than cap nodes.
     nodes, tuples = [(0, (), [])], 0
     while nodes:
         t, above, prefix = nodes.pop()
+        kids = children(t, above)
+        within(tuples + len(nodes) + len(kids))
         if t == last:
-            tuples = within(tuples + len(children(t, above)))
-            weights.update([LWeight(n, tuple([*map(gens, sorted(prefix + c))])) for _, c in children(t, above)])
+            tuples += len(kids)
+            weights.update([LWeight(n, tuple([*map(gens, sorted(prefix + c))])) for _, c in kids])
         else:
-            nodes.extend((t + 1, downs, sorted(prefix + c)) for downs, c in children(t, above))
+            nodes.extend((t + 1, downs, sorted(prefix + c)) for downs, c in kids)
     return weights
 
 

@@ -357,12 +357,13 @@ class TestCharacter:
         return d
 
     def test_too_many_tuples_refused(self, tmp_path, capsys):
-        # 1,646,568 tuples of 25 steps; the walk refuses once it has counted 16,001
+        # 1,646,568 tuples of 25 steps; the walk refuses once the tuples it has
+        # tallied, the nodes pending and the list in hand pass 16,000, at 16,009
         run = {"n": 7, "intervals": [[0, 4], [-1, 3], [-2, 2], [-3, 1], [-4, 0]], "breaks": [1, 5]}
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert code == 3
         assert out == ""
-        assert self.refused_count(run, err, 25) == 16_001
+        assert self.refused_count(run, err, 25) == 16_009
 
     def test_connected_run_refused_with_exact_count(self, tmp_path, capsys):
         # the first layer alone has C(403, 2) = 81,003 paths, and tuples take 1,200

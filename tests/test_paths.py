@@ -331,6 +331,22 @@ class TestStepLimit:
                 assert len(ell_weights(s)) == dim, str(s)
         assert 0 < refused < len(runs)
 
+    def test_one_interval_refused_exactly_past_the_limit(self, monkeypatch):
+        # one layer is counted as C(n + 1, length) without a walk, on either side of its middle
+        monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 2_000)
+        answered = refused = 0
+        for n in range(40):
+            for length in range(n + 2):
+                s = AlternatingSnake.single_run([[0, length]], n)
+                if comb(n + 1, length) * (length + 1) > 2_000:
+                    with pytest.raises(UnsupportedSnakeError, match="the limit is 2000$"):
+                        ell_weights(s)
+                    refused += 1
+                else:
+                    assert len(ell_weights(s)) == comb(n + 1, length), str(s)
+                    answered += 1
+        assert answered > 100 and refused > 100
+
     def test_one_long_path_at_the_limit(self):
         # [[0, n + 1]] has one path of n + 1 down steps, so n + 2 steps
         ok = AlternatingSnake.single_run([[0, 399_999]], 399_998)
@@ -363,6 +379,24 @@ class TestStepLimit:
                 else:
                     labelled[-1] += 1
             assert max(labelled) <= 2_000 // steps(s) + 1, str(s)
+
+    def test_deep_refusal_stacks_at_most_the_cap(self, monkeypatch):
+        # every layer list of [[-t, -t + 1] for t < r] at n + 1 = cap holds cap paths, so
+        # each passes the list count; the pending nodes count toward the bound too, so
+        # the walk refuses at the second layer instead of stacking (r - 1) * cap nodes
+        # with their corner codes first (33 MB and 1 s at r = 200 without that count)
+        monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 40_000)
+        r = 200
+        cap = 40_000 // (2 * r)
+        s = AlternatingSnake.single_run([[-t, -t + 1] for t in range(r)], cap - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSnakeError, match=f"at least {2 * cap - 1} of them"):
+                ell_weights(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def join_cases() -> list[AlternatingSnake]:
