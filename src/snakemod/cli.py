@@ -1,7 +1,7 @@
 """Batch command line: JSON in, canonical JSON out.
 
 Exit codes: 0 success, 2 invalid input (including JSON nested too deeply to
-read and an output file that cannot be written), 3 mathematical refusal
+read and an output file or stdout that cannot be written), 3 mathematical refusal
 (valid input outside an operation's scope), 4 internal cross-check failure.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from operator import attrgetter
@@ -56,7 +57,30 @@ def _emit(payload: dict, out_path: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
-        _write(doc, sys.stdout)
+        if sys.stdout is None:  # started with its descriptor closed
+            raise ValueError("cannot write stdout: it is closed")
+        try:
+            _write(doc, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            _drop_stdout()
+            raise ValueError(f"cannot write stdout: {exc}") from exc
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write.
+
+    The interpreter flushes stdout again at exit; the text still buffered then
+    goes nowhere instead of raising a second error that would print after the
+    report and change the exit code.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stream with no descriptor keeps nothing for the exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _load_snake(data, n_override):

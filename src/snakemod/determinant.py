@@ -57,14 +57,6 @@ class SnakeMatrix(NamedTuple):
         return tuple(out)
 
 
-def _clamped_break(s: AlternatingSnake, t: int) -> int:
-    if t < 0:
-        return 1
-    if t > s.k:
-        return s.r
-    return s.breaks[t]
-
-
 def _windows(s: AlternatingSnake, directions: tuple[str, ...], along_rows: bool) -> list[tuple[int, int]]:
     """(lo, hi) per 1-based position: the break windows of the runs holding it.
 
@@ -77,7 +69,7 @@ def _windows(s: AlternatingSnake, directions: tuple[str, ...], along_rows: bool)
     for m, d in enumerate(directions, 1):
         wide = d == LEFT if along_rows else d == RIGHT
         if wide:
-            lo, hi = _clamped_break(s, m - 2), _clamped_break(s, m + 1)
+            lo, hi = s.breaks[max(m - 2, 0)], s.breaks[min(m + 1, s.k)]
         else:
             lo, hi = s.breaks[m - 1], s.breaks[m]
         for idx in range(s.breaks[m - 1], s.breaks[m] + 1):

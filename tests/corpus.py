@@ -24,7 +24,7 @@ from snakemod import (
 from snakemod.determinant import walk
 from snakemod.families import nested_prime_snake, snake_from_mu_lambda
 from snakemod.lweight import _normalize
-from snakemod.paths import _corners, _stacked_children
+from snakemod.paths import _corners, _layer
 
 MAX_TRIES = 2000
 
@@ -86,13 +86,9 @@ def _stacked_downs(intervals, n):
     """Every strictly stacked path tuple of a descending run, as down-step sets.
 
     Top layer first, in the lexicographic order of the down-step sets, from
-    the library's stacking rule with no label on the layer paths.
+    the library's stacking rule (``paths._layer``).
     """
-    children = _stacked_children(intervals, n, lambda t, downs: None)
-
-    def below(prefix):
-        return [downs for downs, _ in children(len(prefix), prefix[-1] if prefix else ())]
-
+    below = lambda prefix: _layer(intervals, n, len(prefix), prefix[-1] if prefix else ())
     return walk(len(intervals), below)
 
 

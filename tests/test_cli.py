@@ -357,13 +357,14 @@ class TestCharacter:
         return d
 
     def test_too_many_tuples_refused(self, tmp_path, capsys):
-        # 1,646,568 tuples of 25 steps; the walk refuses once the tuples it has
-        # tallied, the nodes pending and the list in hand pass 16,000, at 16,009
+        # 1,646,568 tuples of 25 steps; the first three layers have 70, 1,764 and
+        # 24,696 paths below the layers above, and the walk refuses once its tally
+        # of the third layer's lists passes 16,000, at 16,021
         run = {"n": 7, "intervals": [[0, 4], [-1, 3], [-2, 2], [-3, 1], [-4, 0]], "breaks": [1, 5]}
         code, out, err = run_cli(["character", write(tmp_path, run)], capsys)
         assert code == 3
         assert out == ""
-        assert self.refused_count(run, err, 25) == 16_009
+        assert self.refused_count(run, err, 25) == 16_021
 
     def test_connected_run_refused_with_exact_count(self, tmp_path, capsys):
         # the first layer alone has C(403, 2) = 81,003 paths, and tuples take 1,200
@@ -861,6 +862,9 @@ class TestInputOutput:
             def write(self, text):
                 self.size += len(text)
 
+            def flush(self):
+                pass
+
         sink = Sink()
         tracemalloc.start()
         try:
@@ -880,6 +884,52 @@ class TestInputOutput:
         report = json.loads(err)
         assert report["error"] == "invalid-input"
         assert report["message"].startswith(f"cannot write {out_path}: ")
+
+    @staticmethod
+    def run_to(stdout, tmp_path, argv):
+        """The CLI as a process writing to ``stdout``: its exit code and stderr."""
+        lib = str(Path(snakemod.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snakemod.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": lib},
+        )
+        return proc.returncode, proc.stderr.decode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["validate"], ["character"]], ids=["small", "streamed"])
+    def test_full_stdout_exits_2(self, tmp_path, argv):
+        # a small answer fails only at the flush; the 6 MB character answer fails mid-stream
+        data = PAIR if argv == ["validate"] else {"n": 200, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}
+        with open("/dev/full", "w") as full:
+            code, err = self.run_to(full, tmp_path, [*argv, write(tmp_path, data)])
+        assert code == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        report = json.loads(err)
+        assert report == {"error": "invalid-input", "message": report["message"]}
+        assert report["message"].startswith("cannot write stdout: [Errno 28]")
+
+    def test_closed_pipe_exits_2(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = self.run_to(write_end, tmp_path, ["validate", write(tmp_path, PAIR)])
+        finally:
+            os.close(write_end)
+        assert code == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        report = json.loads(err)
+        assert report == {"error": "invalid-input", "message": report["message"]}
+        assert report["message"].startswith("cannot write stdout: [Errno 32]")
+
+    def test_closed_stdout_exits_2(self, tmp_path, capsys):
+        # an interpreter started with descriptor 1 closed has sys.stdout None
+        with mock.patch.object(sys, "stdout", None):
+            code = main(["validate", write(tmp_path, PAIR)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "invalid-input", "message": "cannot write stdout: it is closed"}
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -196,13 +196,13 @@ def connected_run(r: int) -> AlternatingSnake:
 
 class TestDimension:
     def test_builds_no_paths(self, monkeypatch):
-        # the stacked walk and the corner rule are all the path-building code there is
+        # the layer rule and the corner rule are all the path-building code there is
         built = []
 
         def counting(name, f):
             return lambda *args: built.append(name) or f(*args)
 
-        for name in ("_stacked_children", "_corners"):
+        for name in ("_layer", "_corners"):
             monkeypatch.setattr(paths, name, counting(name, getattr(paths, name)))
         assert snake_dimension(ladder(8)) == 7_997_986_868_872
         assert built == []
@@ -355,7 +355,7 @@ class TestStepLimit:
             ell_weights(AlternatingSnake.single_run([[0, 400_000]], 399_999))
 
     def test_refusal_labels_at_most_the_cap_per_list(self, monkeypatch):
-        # each layer list is counted before any of its paths is labelled
+        # each layer list is counted before any of its paths is coded
         monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 2_000)
         log = []
         corners, layer = paths._corners, paths._layer
@@ -380,18 +380,32 @@ class TestStepLimit:
                     labelled[-1] += 1
             assert max(labelled) <= 2_000 // steps(s) + 1, str(s)
 
+    def test_refusal_builds_no_weight(self, monkeypatch):
+        # the pair's tuples of 4 steps pass cap = 100,000 only in the last layer's
+        # tally, which counts every list of that layer before any weight is built
+        s = AlternatingSnake.single_run([[0, 1], [-1, 0]], 446)
+        assert snake_dimension(s) * steps(s) > paths.CHARACTER_MAX_STEPS
+        built = []
+        monkeypatch.setattr(paths, "LWeight", lambda *args: built.append(None) or LWeight(*args))
+        with pytest.raises(UnsupportedSnakeError) as refusal:
+            ell_weights(s)
+        assert built == []
+        # the tally adds whole lists of the last layer
+        assert "at least 100128 of them" in str(refusal.value)
+
     def test_deep_refusal_stacks_at_most_the_cap(self, monkeypatch):
-        # every layer list of [[-t, -t + 1] for t < r] at n + 1 = cap holds cap paths, so
-        # each passes the list count; the pending nodes count toward the bound too, so
-        # the walk refuses at the second layer instead of stacking (r - 1) * cap nodes
-        # with their corner codes first (33 MB and 1 s at r = 200 without that count)
+        # the first layer of [[-t, -t + 1] for t < r] at n + 1 = cap holds cap paths, so
+        # it passes the count; the second layer's list below the path (k,) holds the
+        # k + 1 paths (0,) .. (k,), and the layer's tally refuses at 1 + 2 + ... + 14 =
+        # 105 > cap = 100 instead of listing every layer first (33 MB and 1 s at r = 200
+        # for a walk that counted only the tuples it reached)
         monkeypatch.setattr(paths, "CHARACTER_MAX_STEPS", 40_000)
         r = 200
         cap = 40_000 // (2 * r)
         s = AlternatingSnake.single_run([[-t, -t + 1] for t in range(r)], cap - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(UnsupportedSnakeError, match=f"at least {2 * cap - 1} of them"):
+            with pytest.raises(UnsupportedSnakeError, match="at least 105 of them"):
                 ell_weights(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
