@@ -886,8 +886,9 @@ class TestInputOutput:
         assert report["message"].startswith(f"cannot write {out_path}: ")
 
     @staticmethod
-    def run_to(stdout, tmp_path, argv):
-        """The CLI as a process writing to ``stdout``: its exit code and stderr."""
+    def failed_write(stdout, tmp_path, argv):
+        """Run the CLI as a process writing to ``stdout``, which fails: exit 2, one
+        report on stderr and no traceback.  Returns the report's message."""
         lib = str(Path(snakemod.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "snakemod.cli", *argv],
@@ -896,7 +897,12 @@ class TestInputOutput:
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": lib},
         )
-        return proc.returncode, proc.stderr.decode()
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in err and "Exception ignored" not in err
+        report = json.loads(err)
+        assert set(report) == {"error", "message"} and report["error"] == "invalid-input"
+        return report["message"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["validate"], ["character"]], ids=["small", "streamed"])
@@ -904,33 +910,25 @@ class TestInputOutput:
         # a small answer fails only at the flush; the 6 MB character answer fails mid-stream
         data = PAIR if argv == ["validate"] else {"n": 200, "intervals": [[0, 1], [-1, 0]], "breaks": [1, 2]}
         with open("/dev/full", "w") as full:
-            code, err = self.run_to(full, tmp_path, [*argv, write(tmp_path, data)])
-        assert code == 2
-        assert "Traceback" not in err and "Exception ignored" not in err
-        report = json.loads(err)
-        assert report == {"error": "invalid-input", "message": report["message"]}
-        assert report["message"].startswith("cannot write stdout: [Errno 28]")
+            message = self.failed_write(full, tmp_path, [*argv, write(tmp_path, data)])
+        assert message.startswith("cannot write stdout: [Errno 28]")
 
     def test_closed_pipe_exits_2(self, tmp_path):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            code, err = self.run_to(write_end, tmp_path, ["validate", write(tmp_path, PAIR)])
+            message = self.failed_write(write_end, tmp_path, ["validate", write(tmp_path, PAIR)])
         finally:
             os.close(write_end)
-        assert code == 2
-        assert "Traceback" not in err and "Exception ignored" not in err
-        report = json.loads(err)
-        assert report == {"error": "invalid-input", "message": report["message"]}
-        assert report["message"].startswith("cannot write stdout: [Errno 32]")
+        assert message.startswith("cannot write stdout: [Errno 32]")
 
     def test_closed_stdout_exits_2(self, tmp_path, capsys):
         # an interpreter started with descriptor 1 closed has sys.stdout None
         with mock.patch.object(sys, "stdout", None):
             code = main(["validate", write(tmp_path, PAIR)])
         assert code == 2
-        assert json.loads(capsys.readouterr().err) == {"error": "invalid-input", "message": "cannot write stdout: it is closed"}
-
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"error": "invalid-input", "message": "cannot write stdout: it is closed"}
 
 GOLDEN = Path(__file__).parent / "golden"
 
